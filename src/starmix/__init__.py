@@ -26,7 +26,6 @@ from .weights import (
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
-    restrict_to_strata,
     solve_theta,
 )
 from .spectral import (

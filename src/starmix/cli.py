@@ -34,11 +34,12 @@ from .spectral import (
     stationary_vector,
     symmetric_eigenvalues,
 )
-from .topology import BranchSpec, build_network
+from .topology import BranchSpec, StarNetwork, build_network
 from .weights import (
     EvaluationError,
     SolverError,
     StratifiedWeights,
+    ThetaSolution,
     best_constant_weights,
     characteristic_det,
     characteristic_det_reduced,
@@ -162,40 +163,52 @@ def _emit(
         _write_csv(rows, header, out)
 
 
-def compute_scheme(spec: BranchSpec, scheme: str) -> dict:
-    """Weights, SLEM and metadata for one scheme on one topology."""
-    network = build_network(spec)
-    theta = None
+def scheme_weights(
+    network: StarNetwork, scheme: str
+) -> tuple[StratifiedWeights, ThetaSolution | None]:
+    """Weights of one scheme on a network; also the theta solution for "optimal"."""
     if scheme == "optimal":
-        solution = solve_theta(spec)
-        weights = optimal_weights(spec, solution)
-        theta = solution.theta
-    elif scheme == "metropolis":
-        weights = metropolis_weights(network)
-    elif scheme == "max_degree":
-        weights = max_degree_weights(network)
-    elif scheme == "best_constant":
-        weights = best_constant_weights(network)
+        solution = solve_theta(network.spec)
+        return optimal_weights(network.spec, solution), solution
+    if scheme == "metropolis":
+        return metropolis_weights(network), None
+    if scheme == "max_degree":
+        return max_degree_weights(network), None
+    if scheme == "best_constant":
+        return best_constant_weights(network), None
+    raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+
+
+def compute_scheme(spec: BranchSpec, scheme: str) -> dict:
+    """Weights, SLEM and metadata for one scheme on one topology.
+
+    The optimal scheme's weights are written per stratum; the baselines'
+    are expanded to one ``[u, v, w]`` entry per edge, in edge order.
+    """
+    network = build_network(spec)
+    weights, solution = scheme_weights(network, scheme)
+    if solution is not None:
+        table = {"strata": [list(row) for row in weights.strata]}
     else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    matrix = assemble_weight_matrix(network, weights)
-    result = {
+        table = {
+            "edges": [
+                [u, v, weights.strata[stratum.branch_type - 1][stratum.position - 1]]
+                for stratum in network.strata
+                for u, v in stratum.edges
+            ]
+        }
+    return {
         "spec": spec.to_dict(),
         "scheme": scheme,
-        "slem": slem(matrix),
-        "theta": theta,
-        "weights": (
-            {"strata": [list(row) for row in weights.strata]}
-            if weights.strata is not None
-            else {"edges": [[u, v, w] for u, v, w in weights.per_edge]}
-        ),
+        "slem": slem(assemble_weight_matrix(network, weights)),
+        "theta": None if solution is None else solution.theta,
+        "weights": table,
         "metadata": {
             "node_count": spec.node_count,
             "edge_count": spec.edge_count,
             "counts_below_two": any(n < 2 for n in spec.counts),
         },
     }
-    return result
 
 
 def load_weights_document(path: str) -> dict:
@@ -203,19 +216,44 @@ def load_weights_document(path: str) -> dict:
         return json.load(handle)
 
 
-def weights_from_document(document: dict) -> StratifiedWeights:
+def _fold_edges(network: StarNetwork, entries) -> tuple[tuple[float, ...], ...]:
+    """Stratum form of an ``[[u, v, w], ...]`` table that covers the network's edges."""
+    table = {(int(u), int(v)): float(w) for u, v, w in entries}
+    rows: list[list[float]] = [[] for _ in range(network.spec.branch_types)]
+    for stratum in network.strata:
+        values = set()
+        for edge in stratum.edges:
+            if edge not in table:
+                raise ValueError(f"weights document has no entry for edge {edge}")
+            values.add(table.pop(edge))
+        if len(values) != 1:
+            raise ValueError(
+                f"stratum ({stratum.branch_type}, {stratum.position}) has unequal "
+                f"edge weights {sorted(values)}"
+            )
+        rows[stratum.branch_type - 1].append(values.pop())
+    if table:
+        raise ValueError(
+            f"weights document names edges not in the network: {sorted(table)}"
+        )
+    return tuple(tuple(row) for row in rows)
+
+
+def weights_from_document(document: dict, network: StarNetwork) -> StratifiedWeights:
+    """Stratified weights of a ``slem`` document, ``"strata"`` or ``"edges"`` form.
+
+    An ``"edges"`` table must list every edge of ``network`` once, nothing
+    else, with equal weights across each stratum.
+    """
     scheme = document.get("scheme", "loaded")
     table = document.get("weights", {})
     if "strata" in table and table["strata"] is not None:
-        return StratifiedWeights(
-            scheme=scheme, strata=tuple(tuple(row) for row in table["strata"])
-        )
-    if "edges" in table and table["edges"] is not None:
-        return StratifiedWeights(
-            scheme=scheme,
-            per_edge=tuple((int(u), int(v), float(w)) for u, v, w in table["edges"]),
-        )
-    raise ValueError("weights document carries neither strata nor edges")
+        strata = tuple(tuple(row) for row in table["strata"])
+    elif "edges" in table and table["edges"] is not None:
+        strata = _fold_edges(network, table["edges"])
+    else:
+        raise ValueError("weights document carries neither strata nor edges")
+    return StratifiedWeights(scheme=scheme, strata=strata)
 
 
 def _weight_row(spec: BranchSpec, result: dict) -> dict:
@@ -394,12 +432,11 @@ def cmd_simulate(args) -> int:
     traces = {}
     slems = {}
     for scheme in schemes:
-        result = compute_scheme(spec, scheme)
-        matrix = assemble_weight_matrix(network, weights_from_document(result))
-        slems[scheme] = result["slem"]
-        if result["slem"] >= 1.0:
+        matrix = assemble_weight_matrix(network, scheme_weights(network, scheme)[0])
+        slems[scheme] = slem(matrix)
+        if slems[scheme] >= 1.0:
             print(
-                f"warning: scheme {scheme} has SLEM {result['slem']:.6f} >= 1; "
+                f"warning: scheme {scheme} has SLEM {slems[scheme]:.6f} >= 1; "
                 "the iteration will not converge",
                 file=sys.stderr,
             )
@@ -460,27 +497,28 @@ def run_validation(
     checks: list[dict] = []
 
     # Convergence conditions for every scheme.
-    for scheme in SCHEMES:
-        result = compute_scheme(spec, scheme)
-        matrix = assemble_weight_matrix(network, weights_from_document(result))
+    built = {scheme: scheme_weights(network, scheme) for scheme in SCHEMES}
+    optimal, solution = built["optimal"]
+    allowed = network.adjacency() + np.eye(network.node_count)
+    for scheme, (weights, _) in built.items():
+        matrix = assemble_weight_matrix(network, weights)
         evals = symmetric_eigenvalues(matrix)
+        scheme_slem = float(max(evals[1], -evals[-1]))
         sym_ok = bool(np.array_equal(matrix, matrix.T))
         rows_ok = bool(np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-12)
-        adjacency = network.adjacency() + np.eye(network.node_count)
-        sparsity_ok = bool(np.all((matrix == 0.0) | (adjacency > 0.0)))
+        sparsity_ok = bool(np.all((matrix == 0.0) | (allowed > 0.0)))
         top_ok = bool(abs(evals[0] - 1.0) <= 1e-10 and evals[1] < 1.0 - 1e-12)
-        slem_ok = bool(result["slem"] < 1.0)
+        slem_ok = bool(scheme_slem < 1.0)
         checks.append(
             _check(
                 f"conditions[{scheme}]",
                 sym_ok and rows_ok and sparsity_ok and top_ok and slem_ok,
                 f"symmetric={sym_ok} stochastic={rows_ok} sparsity={sparsity_ok} "
-                f"top_simple={top_ok} slem={result['slem']:.6f}",
+                f"top_simple={top_ok} slem={scheme_slem:.6f}",
             )
         )
 
     # Characteristic-root residual, with the direct determinant as referee.
-    solution = solve_theta(spec)
     checks.append(
         _check(
             "root_residual",
@@ -534,7 +572,6 @@ def run_validation(
         )
     )
 
-    optimal = optimal_weights(spec, solution)
     if spec.cores == 1:
         decomp = block_decomposition(spec, optimal)
         union_ok = True
@@ -621,7 +658,7 @@ def run_validation(
 
     if weights_document is not None:
         try:
-            loaded = weights_from_document(weights_document)
+            loaded = weights_from_document(weights_document, network)
             matrix = assemble_weight_matrix(network, loaded)
             recomputed = slem(matrix)
             stored = float(weights_document["slem"])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .spectral import assemble_weight_matrix, slem
 from .topology import StarNetwork
-from .weights import StratifiedWeights, metropolis_weights, restrict_to_strata
+from .weights import StratifiedWeights, metropolis_weights
 
 
 def _flatten(weights: StratifiedWeights) -> np.ndarray:
@@ -151,9 +151,7 @@ def optimize_weights(
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if init is None:
-        init = restrict_to_strata(network, metropolis_weights(network))
-    if init.strata is None:
-        init = restrict_to_strata(network, init)
+        init = metropolis_weights(network)
 
     n = network.node_count
     basis = stratum_basis_matrices(network)

@@ -27,29 +27,17 @@ def assemble_weight_matrix(network: StarNetwork, weights: StratifiedWeights) -> 
     minus its off-diagonal row sum, so rows sum to one exactly and the
     all-ones vector is fixed.
     """
+    if len(weights.strata) != network.spec.branch_types or any(
+        len(row) != m for row, m in zip(weights.strata, network.spec.lengths)
+    ):
+        raise ValueError(
+            "stratified weights do not match the network's branch structure"
+        )
     n = network.node_count
     matrix = np.zeros((n, n))
-    if weights.strata is not None:
-        if len(weights.strata) != network.spec.branch_types or any(
-            len(row) != m for row, m in zip(weights.strata, network.spec.lengths)
-        ):
-            raise ValueError(
-                "stratified weights do not match the network's branch structure"
-            )
-        for stratum in network.strata:
-            w = weights.strata[stratum.branch_type - 1][stratum.position - 1]
-            for u, v in stratum.edges:
-                matrix[u, v] = w
-                matrix[v, u] = w
-    else:
-        table = weights.edge_map()
-        missing = [e for e in network.edges if e not in table]
-        if missing or len(table) != len(network.edges):
-            raise ValueError(
-                f"per-edge weights do not cover the edge set exactly "
-                f"({len(table)} entries for {len(network.edges)} edges)"
-            )
-        for (u, v), w in table.items():
+    for stratum in network.strata:
+        w = weights.strata[stratum.branch_type - 1][stratum.position - 1]
+        for u, v in stratum.edges:
             matrix[u, v] = w
             matrix[v, u] = w
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
@@ -127,8 +115,6 @@ def block_decomposition(spec: BranchSpec, weights: StratifiedWeights) -> BlockDe
     """Build the symmetry blocks from stratified weights (single core only)."""
     if spec.cores != 1:
         raise ValueError("block decomposition is defined for single-core networks")
-    if weights.strata is None:
-        raise ValueError("block decomposition needs stratified weights")
     blocks = tuple(_branch_block(row) for row in weights.strata)
 
     total = sum(spec.lengths)
@@ -286,8 +272,6 @@ def blocks_from_factors(
     spec: BranchSpec, weights: StratifiedWeights, factors: IncidenceFactors | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild (reduced_block, core_block) from the rank-one expansions."""
-    if weights.strata is None:
-        raise ValueError("rank-one reconstruction needs stratified weights")
     if factors is None:
         factors = incidence_factors(spec)
     total = sum(spec.lengths)

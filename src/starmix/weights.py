@@ -7,8 +7,11 @@ determinant built from the branch lengths and counts.  The second-largest
 eigenvalue modulus (SLEM) of the resulting averaging matrix is
 ``cos(theta)``, which governs the asymptotic convergence rate.
 
-Baseline schemes (Metropolis, maximum-degree, best-constant) are defined
-per edge from node degrees and the graph Laplacian spectrum.
+The baseline schemes (Metropolis, maximum-degree, best-constant) are
+built from node degrees and the graph Laplacian spectrum.  Permuting
+branches of equal length changes neither, so the baselines, like the
+optimal scheme, are constant on each edge stratum, and every scheme is
+carried in stratum form.
 """
 
 from __future__ import annotations
@@ -31,34 +34,21 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class StratifiedWeights:
-    """Edge weights, either one value per stratum or one per edge.
+    """Edge weights, one value per stratum.
 
-    ``strata[p-1][i-1]`` is the weight of stratum ``(p, i)``.  Schemes that
-    are not expressed in stratum form (the degree-based baselines) carry a
-    per-edge table of ``(u, v, w)`` triples instead, keyed by dense node
-    indices with ``u < v``.
+    ``strata[p-1][i-1]`` is the weight of every edge in stratum ``(p, i)``:
+    the ``i``-th edge along each branch of type ``p``, counted from the
+    cores.
     """
 
     scheme: str
-    strata: tuple[tuple[float, ...], ...] | None = None
-    per_edge: tuple[tuple[int, int, float], ...] | None = None
+    strata: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if (self.strata is None) == (self.per_edge is None):
-            raise ValueError("exactly one of strata and per_edge must be given")
-        values = (
-            [w for row in self.strata for w in row]
-            if self.strata is not None
-            else [w for _, _, w in self.per_edge]
-        )
-        for w in values:
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"edge weight {w} outside (0, 1]")
-
-    def edge_map(self) -> dict[tuple[int, int], float]:
-        if self.per_edge is None:
-            raise ValueError("stratified weights carry no per-edge table")
-        return {(u, v): w for u, v, w in self.per_edge}
+        for row in self.strata:
+            for w in row:
+                if not 0.0 < w <= 1.0:
+                    raise ValueError(f"edge weight {w} outside (0, 1]")
 
 
 def _check_theta_domain(theta: float) -> None:
@@ -268,19 +258,21 @@ def optimal_weights(spec: BranchSpec, solution: ThetaSolution | None = None) -> 
 
 
 def metropolis_weights(network: StarNetwork) -> StratifiedWeights:
-    """Per-edge weights 1 / (1 + max(deg_u, deg_v))."""
+    """Edge weights 1 / (1 + max(deg_u, deg_v)), taken at each stratum's first edge."""
     deg = network.degrees
-    table = tuple(
-        (u, v, 1.0 / (1.0 + max(deg[u], deg[v]))) for u, v in network.edges
-    )
-    return StratifiedWeights(scheme="metropolis", per_edge=table)
+    rows: list[list[float]] = [[] for _ in range(network.spec.branch_types)]
+    for stratum in network.strata:
+        u, v = stratum.edges[0]
+        rows[stratum.branch_type - 1].append(1.0 / (1.0 + max(deg[u], deg[v])))
+    strata = tuple(tuple(row) for row in rows)
+    return StratifiedWeights(scheme="metropolis", strata=strata)
 
 
 def max_degree_weights(network: StarNetwork) -> StratifiedWeights:
-    """Uniform per-edge weight 1 / max(deg)."""
+    """Uniform edge weight 1 / max(deg)."""
     w = 1.0 / max(network.degrees)
-    table = tuple((u, v, w) for u, v in network.edges)
-    return StratifiedWeights(scheme="max_degree", per_edge=table)
+    strata = tuple((w,) * m for m in network.spec.lengths)
+    return StratifiedWeights(scheme="max_degree", strata=strata)
 
 
 def best_constant_alpha(network: StarNetwork) -> float:
@@ -295,27 +287,10 @@ def best_constant_alpha(network: StarNetwork) -> float:
 
 
 def best_constant_weights(network: StarNetwork) -> StratifiedWeights:
-    """Uniform per-edge weight at the best-constant optimum."""
+    """Uniform edge weight at the best-constant optimum."""
     alpha = best_constant_alpha(network)
-    table = tuple((u, v, alpha) for u, v in network.edges)
-    return StratifiedWeights(scheme="best_constant", per_edge=table)
-
-
-def restrict_to_strata(network: StarNetwork, weights: StratifiedWeights) -> StratifiedWeights:
-    """Project per-edge weights onto stratum form (value of the first member edge).
-
-    Degree-based schemes are constant within each stratum by symmetry, so
-    the first member is representative.
-    """
-    if weights.strata is not None:
-        return weights
-    table = weights.edge_map()
-    rows: list[list[float]] = [[] for _ in range(network.spec.branch_types)]
-    for stratum in network.strata:
-        rows[stratum.branch_type - 1].append(table[stratum.edges[0]])
-    return StratifiedWeights(
-        scheme=weights.scheme, strata=tuple(tuple(row) for row in rows)
-    )
+    strata = tuple((alpha,) * m for m in network.spec.lengths)
+    return StratifiedWeights(scheme="best_constant", strata=strata)
 
 
 def core_replica_eigenvalue(spec: BranchSpec, weights: StratifiedWeights) -> float:
@@ -325,8 +300,6 @@ def core_replica_eigenvalue(spec: BranchSpec, weights: StratifiedWeights) -> flo
     (eigenvectors supported on differences of core coordinates) with
     multiplicity ``cores - 1``.
     """
-    if weights.strata is None:
-        raise ValueError("core replica eigenvalue needs stratified weights")
     return 1.0 - sum(n * row[0] for n, row in zip(spec.counts, weights.strata))
 
 

@@ -36,6 +36,21 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def drop_edge(edges):
+    u, v, _ = edges.pop(5)
+    return f"edge ({u}, {v})"
+
+
+def add_self_loop(edges):
+    edges.append([0, 0, 0.5])
+    return "(0, 0)"
+
+
+def change_one_weight(edges):
+    edges[0][2] /= 2.0
+    return "stratum (1, 1)"
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -225,6 +240,29 @@ class TestValidateCommand:
         assert checks["weights_roundtrip"]["status"] == "fail"
         assert "outside (0, 1]" in checks["weights_roundtrip"]["detail"]
 
+    @pytest.mark.parametrize("edit", [drop_edge, add_self_loop, change_one_weight])
+    def test_edited_edge_table_fails_naming_the_fault(
+        self, capsys, tmp_path, spec_file, edit
+    ):
+        weights_path = tmp_path / "w.json"
+        run_cli(
+            capsys,
+            ["slem", "--spec", spec_file, "--scheme", "metropolis",
+             "--out", str(weights_path)],
+        )
+        doc = json.loads(weights_path.read_text())
+        named = edit(doc["weights"]["edges"])
+        weights_path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            capsys,
+            ["validate", "--spec", spec_file, "--weights", str(weights_path),
+             "--skip-optimizer"],
+        )
+        assert code == EXIT_VALIDATION
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["weights_roundtrip"]["status"] == "fail"
+        assert named in checks["weights_roundtrip"]["detail"]
+
     def test_validate_with_optimizer(self, capsys, path_spec_file):
         code, out, _ = run_cli(capsys, ["validate", "--spec", path_spec_file])
         assert code == EXIT_OK
@@ -282,5 +320,6 @@ class TestRoundTrip:
             doc = json.loads(out.read_text())
             spec = BranchSpec.from_dict(doc["spec"])
             network = build_network(spec)
-            matrix = assemble_weight_matrix(network, weights_from_document(doc))
+            weights = weights_from_document(doc, network)
+            matrix = assemble_weight_matrix(network, weights)
             assert abs(slem(matrix) - doc["slem"]) <= 1e-10

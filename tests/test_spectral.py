@@ -48,12 +48,6 @@ class TestAssembly:
         allowed = network.adjacency() + np.eye(network.node_count)
         assert np.all((matrix == 0.0) | (allowed > 0.0))
 
-    def test_per_edge_coverage_mismatch_rejected(self):
-        network = build_network(THREE_PATH)
-        partial = StratifiedWeights(scheme="x", per_edge=((0, 1, 0.5),))
-        with pytest.raises(ValueError):
-            assemble_weight_matrix(network, partial)
-
     def test_strata_shape_mismatch_rejected(self):
         network = build_network(COMPARISON_SPEC)
         wrong = StratifiedWeights(scheme="x", strata=((0.5,), (0.5,), (0.5,)))

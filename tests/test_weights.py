@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_spec
 from starmix import (
@@ -18,7 +20,6 @@ from starmix import (
     max_degree_weights,
     metropolis_weights,
     optimal_weights,
-    restrict_to_strata,
     solve_theta,
 )
 
@@ -29,16 +30,21 @@ def assemble(network, weights):
     """Local assembly oracle, independent of the spectral module."""
     n = network.node_count
     matrix = np.zeros((n, n))
-    if weights.strata is not None:
-        for stratum in network.strata:
-            w = weights.strata[stratum.branch_type - 1][stratum.position - 1]
-            for u, v in stratum.edges:
-                matrix[u, v] = matrix[v, u] = w
-    else:
-        for u, v, w in weights.per_edge:
+    for stratum in network.strata:
+        w = weights.strata[stratum.branch_type - 1][stratum.position - 1]
+        for u, v in stratum.edges:
             matrix[u, v] = matrix[v, u] = w
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
+
+
+@st.composite
+def branch_specs(draw):
+    """Specs in the ranges of ``make_random_spec``, with one to four cores."""
+    lengths = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
+    size = len(lengths)
+    counts = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return BranchSpec(tuple(lengths), tuple(counts), draw(st.integers(1, 4)))
 
 
 def modulus(matrix):
@@ -199,27 +205,35 @@ class TestBaselineSchemes:
     def test_metropolis_three_path(self):
         network = build_network(THREE_PATH)
         weights = metropolis_weights(network)
-        assert all(w == pytest.approx(1.0 / 3.0) for _, _, w in weights.per_edge)
+        assert weights.strata == ((pytest.approx(1.0 / 3.0),),)
         assert modulus(assemble(network, weights)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_metropolis_tip_edges(self):
-        spec = BranchSpec(lengths=(1, 2, 3), counts=(4, 3, 2), cores=1)
+    @settings(deadline=None)
+    @given(spec=branch_specs())
+    def test_entries_match_edge_formulas(self, spec):
         network = build_network(spec)
-        table = metropolis_weights(network).edge_map()
-        for u, v in network.edges:
-            du, dv = network.degrees[u], network.degrees[v]
-            assert table[(u, v)] == pytest.approx(1.0 / (1.0 + max(du, dv)))
+        deg = network.degrees
+        alpha = best_constant_alpha(network)
+        definitions = {
+            metropolis_weights: lambda u, v: 1.0 / (1.0 + max(deg[u], deg[v])),
+            max_degree_weights: lambda u, v: 1.0 / max(deg),
+            best_constant_weights: lambda u, v: alpha,
+        }
+        for scheme, definition in definitions.items():
+            matrix = assemble(network, scheme(network))
+            for u, v in network.edges:
+                assert matrix[u, v] == matrix[v, u] == definition(u, v)
 
     def test_max_degree_three_path(self):
         network = build_network(THREE_PATH)
         weights = max_degree_weights(network)
-        assert all(w == pytest.approx(0.5) for _, _, w in weights.per_edge)
+        assert weights.strata == ((pytest.approx(0.5),),)
         assert modulus(assemble(network, weights)) == pytest.approx(0.5, abs=1e-12)
 
     def test_max_degree_single_edge_corner_reported_as_is(self):
         network = build_network(BranchSpec(lengths=(1,), counts=(1,), cores=1))
         weights = max_degree_weights(network)
-        assert weights.per_edge[0][2] == 1.0
+        assert weights.strata[0][0] == 1.0
 
     def test_best_constant_three_path(self):
         network = build_network(THREE_PATH)
@@ -236,17 +250,6 @@ class TestBaselineSchemes:
             matrix = assemble(network, scheme(network))
             assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-12
             assert np.array_equal(matrix, matrix.T)
-
-    def test_restrict_to_strata_takes_representatives(self):
-        spec = BranchSpec(lengths=(1, 2), counts=(2, 2), cores=1)
-        network = build_network(spec)
-        per_edge = metropolis_weights(network)
-        table = per_edge.edge_map()
-        stratified = restrict_to_strata(network, per_edge)
-        for stratum in network.strata:
-            expected = table[stratum.edges[0]]
-            got = stratified.strata[stratum.branch_type - 1][stratum.position - 1]
-            assert got == expected
 
 
 class TestMaxCores:
@@ -291,16 +294,10 @@ class TestMonotonicity:
 
 class TestStratifiedWeightsType:
     def test_requires_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            StratifiedWeights(scheme="x", strata=((0.5,),), per_edge=((0, 1, 0.5),))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             StratifiedWeights(scheme="x")
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.1])
     def test_range_validation(self, bad):
         with pytest.raises(ValueError):
             StratifiedWeights(scheme="x", strata=((bad,),))
-
-    def test_edge_map_requires_per_edge(self):
-        with pytest.raises(ValueError):
-            StratifiedWeights(scheme="x", strata=((0.5,),)).edge_map()
