@@ -216,8 +216,17 @@ def load_weights_document(path: str) -> dict:
         return json.load(handle)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _fold_edges(network: StarNetwork, entries) -> tuple[tuple[float, ...], ...]:
     """Stratum form of an ``[[u, v, w], ...]`` table that covers the network's edges."""
+    if not isinstance(entries, list):
+        raise ValueError(f"weights document 'edges' {entries!r} is not a list")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_number, entry))):
+            raise ValueError(f"edge entry {entry!r} is not three numbers [u, v, w]")
     table = {(int(u), int(v)): float(w) for u, v, w in entries}
     rows: list[list[float]] = [[] for _ in range(network.spec.branch_types)]
     for stratum in network.strata:
@@ -243,13 +252,26 @@ def weights_from_document(document: dict, network: StarNetwork) -> StratifiedWei
     """Stratified weights of a ``slem`` document, ``"strata"`` or ``"edges"`` form.
 
     An ``"edges"`` table must list every edge of ``network`` once, nothing
-    else, with equal weights across each stratum.
+    else, with equal weights across each stratum.  A document that is not
+    shaped so (not a JSON object, an edge entry that is not three numbers,
+    a strata row that is not a list of numbers) raises ``ValueError``
+    naming the entry.
     """
+    if not isinstance(document, dict):
+        raise ValueError(f"weights document is a {type(document).__name__}, not a JSON object")
     scheme = document.get("scheme", "loaded")
     table = document.get("weights", {})
-    if "strata" in table and table["strata"] is not None:
-        strata = tuple(tuple(row) for row in table["strata"])
-    elif "edges" in table and table["edges"] is not None:
+    if not isinstance(table, dict):
+        raise ValueError(f"weights document 'weights' {table!r} is not a JSON object")
+    if table.get("strata") is not None:
+        rows = table["strata"]
+        if not isinstance(rows, list):
+            raise ValueError(f"weights document 'strata' {rows!r} is not a list")
+        for row in rows:
+            if not (isinstance(row, list) and all(map(_is_number, row))):
+                raise ValueError(f"strata row {row!r} is not a list of numbers")
+        strata = tuple(tuple(row) for row in rows)
+    elif table.get("edges") is not None:
         strata = _fold_edges(network, table["edges"])
     else:
         raise ValueError("weights document carries neither strata nor edges")
@@ -572,65 +594,55 @@ def run_validation(
         )
     )
 
-    if spec.cores == 1:
-        decomp = block_decomposition(spec, optimal)
-        union_ok = True
-        worst_union = 0.0
-        for _ in range(5):
-            rows = tuple(
-                tuple(rng.uniform(0.05, 0.95) for _ in range(m)) for m in spec.lengths
-            )
-            sample = StratifiedWeights(scheme="random", strata=rows)
-            full = symmetric_eigenvalues(assemble_weight_matrix(network, sample))
-            union = spectrum_union(block_decomposition(spec, sample))
-            gap = float(np.max(np.abs(full - union)))
-            worst_union = max(worst_union, gap)
-            union_ok = union_ok and gap <= 1e-8
-        checks.append(
-            _check("spectrum_union", union_ok, f"worst_gap={worst_union:.3e}")
-        )
-
-        if all(n >= 2 for n in spec.counts):
-            report = interlacing_check(decomp)
-            checks.append(
-                _check(
-                    "interlacing",
-                    report.ok and report.moduli_spread <= 1e-8,
-                    f"violations={len(report.violations)} "
-                    f"moduli_spread={report.moduli_spread:.3e}",
-                )
-            )
-        else:
-            checks.append(_skip("interlacing", "branch counts >= 2 required"))
-
+    decomp = block_decomposition(spec, optimal)
+    union_ok = True
+    worst_union = 0.0
+    for _ in range(5):
         rows = tuple(
             tuple(rng.uniform(0.05, 0.95) for _ in range(m)) for m in spec.lengths
         )
         sample = StratifiedWeights(scheme="random", strata=rows)
-        sample_decomp = block_decomposition(spec, sample)
-        reduced, core = blocks_from_factors(spec, sample)
-        recon_gap = max(
-            float(np.max(np.abs(reduced - sample_decomp.reduced_block))),
-            float(np.max(np.abs(core - sample_decomp.core_block))),
-        )
+        full = symmetric_eigenvalues(assemble_weight_matrix(network, sample))
+        union = spectrum_union(block_decomposition(spec, sample))
+        gap = float(np.max(np.abs(full - union)))
+        worst_union = max(worst_union, gap)
+        union_ok = union_ok and gap <= 1e-8
+    checks.append(_check("spectrum_union", union_ok, f"worst_gap={worst_union:.3e}"))
+
+    if spec.cores != 1:
+        checks.append(_skip("interlacing", "moduli tie proven for one core"))
+    elif all(n >= 2 for n in spec.counts):
+        report = interlacing_check(decomp)
         checks.append(
             _check(
-                "rank_one_reconstruction",
-                recon_gap <= 1e-12,
-                f"entrywise_gap={recon_gap:.3e}",
+                "interlacing",
+                report.ok and report.moduli_spread <= 1e-8,
+                f"violations={len(report.violations)} "
+                f"moduli_spread={report.moduli_spread:.3e}",
             )
         )
-
-        v = stationary_vector(spec)
-        v_gap = float(np.linalg.norm(decomp.core_block @ v - v))
-        checks.append(_check("stationary_vector", v_gap <= 1e-10, f"gap={v_gap:.3e}"))
     else:
-        checks.append(_skip("spectrum_union", "block decomposition defined for one core"))
-        checks.append(_skip("interlacing", "block decomposition defined for one core"))
-        checks.append(
-            _skip("rank_one_reconstruction", "block decomposition defined for one core")
+        checks.append(_skip("interlacing", "branch counts >= 2 required"))
+
+    rows = tuple(tuple(rng.uniform(0.05, 0.95) for _ in range(m)) for m in spec.lengths)
+    sample = StratifiedWeights(scheme="random", strata=rows)
+    sample_decomp = block_decomposition(spec, sample)
+    reduced, core = blocks_from_factors(spec, sample)
+    recon_gap = max(
+        float(np.max(np.abs(reduced - sample_decomp.reduced_block))),
+        float(np.max(np.abs(core - sample_decomp.core_block))),
+    )
+    checks.append(
+        _check(
+            "rank_one_reconstruction",
+            recon_gap <= 1e-12,
+            f"entrywise_gap={recon_gap:.3e}",
         )
-        checks.append(_skip("stationary_vector", "block decomposition defined for one core"))
+    )
+
+    v = stationary_vector(spec)
+    v_gap = float(np.linalg.norm(decomp.core_block @ v - v))
+    checks.append(_check("stationary_vector", v_gap <= 1e-10, f"gap={v_gap:.3e}"))
 
     if skip_optimizer:
         checks.append(_skip("oracle_equivalence", "disabled by --skip-optimizer"))
@@ -661,7 +673,9 @@ def run_validation(
             loaded = weights_from_document(weights_document, network)
             matrix = assemble_weight_matrix(network, loaded)
             recomputed = slem(matrix)
-            stored = float(weights_document["slem"])
+            stored = weights_document["slem"]
+            if not _is_number(stored):
+                raise ValueError(f"weights document 'slem' {stored!r} is not a number")
             ok = abs(recomputed - stored) <= 1e-10
             checks.append(
                 _check(

@@ -18,6 +18,21 @@ but ill-conditioned (directional slopes spanning two orders of magnitude)
 and near the optimum the extreme eigenvalue has high multiplicity, which
 leaves subgradient iterates chattering far from the minimizer.  The
 barrier method certifies its optimality gap instead of hoping for one.
+
+The ``N x N`` constraint is never formed.  Under the network's symmetry
+``W(w) - J/N`` is block-diagonal (Boyd, Diaconis, Parrilo & Xiao, 2009,
+"Fastest mixing Markov chain on graphs with symmetries"): the core block
+of :mod:`starmix.spectral` deflated by ``v v^T`` (``v`` its stationary
+vector, which carries ``J/N``), the branch block of each type repeated
+``counts[p] - 1`` times, and the scalar core-replica eigenvalue repeated
+``cores - 1`` times.  The solver stacks one copy of each distinct block
+into a block-diagonal matrix of size at most ``2 * sum(lengths) + 2``,
+affine in ``w`` through the blocks' rank-one factors, and gives every row
+the multiplicity of its block; blocks of multiplicity 0 are not in the
+spectrum and are left out.  Multiplicity-weighted log-determinants,
+traces and Hessian terms of the stacked matrix equal those of the full
+constraint, so the barrier, its parameter ``nu = 2N + 2d`` and the
+certificate are the full problem's, at a size set by the strata alone.
 """
 
 from __future__ import annotations
@@ -26,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import assemble_weight_matrix, slem
-from .topology import StarNetwork
+from .spectral import assemble_weight_matrix, incidence_factors, slem, stationary_vector
+from .topology import BranchSpec, StarNetwork
 from .weights import StratifiedWeights, metropolis_weights
 
 
@@ -78,7 +93,10 @@ def eigenvalue_gradients(
 
 
 def stratum_basis_matrices(network: StarNetwork) -> list[np.ndarray]:
-    """dW/dw_s per stratum: +1 at member off-diagonals, -1 at touched diagonals."""
+    """dW/dw_s per stratum: +1 at member off-diagonals, -1 at touched diagonals.
+
+    Dense ``N x N`` oracle for :func:`block_lmi`; the optimizer never forms it.
+    """
     n = network.node_count
     mats = []
     for stratum in network.strata:
@@ -90,6 +108,62 @@ def stratum_basis_matrices(network: StarNetwork) -> list[np.ndarray]:
             basis[v, v] -= 1.0
         mats.append(basis)
     return mats
+
+
+def block_lmi(spec: BranchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked symmetry blocks of ``W(w) - J/N`` as ``constant + sum_k w_k basis[k]``.
+
+    Returns ``(constant, basis, multiplicity)``: rows ``0..sum(lengths)``
+    hold the deflated core block, then the branch rows of every type with
+    ``counts[p] >= 2``, then the core-replica row when ``cores >= 2``.
+    ``basis[k]`` is minus the outer product of stratum ``k``'s factor in
+    each block, ``-counts[p]`` on the replica row for a head stratum.
+    """
+    factors = incidence_factors(spec)
+    total = sum(spec.lengths)
+    row_counts = np.repeat(spec.counts, spec.lengths)
+    kept = row_counts >= 2
+    replica = [spec.cores - 1.0] if spec.cores >= 2 else []
+    multiplicity = np.concatenate([np.ones(total + 1), row_counts[kept] - 1.0, replica])
+    size = len(multiplicity)
+    core = slice(0, total + 1)
+    branch = slice(total + 1, total + 1 + int(kept.sum()))
+    basis = np.zeros((total, size, size))
+    k = 0
+    for n, r_vecs, c_vecs in zip(spec.counts, factors.reduced, factors.core):
+        for i, (r, c) in enumerate(zip(r_vecs, c_vecs)):
+            basis[k, core, core] = -np.outer(c, c)
+            basis[k, branch, branch] = -np.outer(r[kept], r[kept])
+            if i == 0 and spec.cores >= 2:
+                basis[k, -1, -1] = -float(n)
+            k += 1
+    v = stationary_vector(spec)
+    constant = np.eye(size)
+    constant[core, core] -= np.outer(v, v)
+    return constant, basis, multiplicity
+
+
+def _constraint_terms(
+    inverse: np.ndarray, basis: np.ndarray, mult: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Barrier derivative terms of one side ``S = s I -/+ M`` of the stacked LMI.
+
+    With ``X_k = S^-1 B_k`` and ``U`` the row multiplicities, returns
+    ``tr(U X_k)``, ``tr(U X_k X_l)``, ``tr(U X_k S^-1)``, ``tr(U S^-1)`` and
+    ``tr(U S^-1 S^-1)``.  Every factor is block-diagonal and ``U`` is
+    constant on each block, so each weighted trace is the trace the full
+    constraint would give.
+    """
+    x = inverse @ basis
+    weighted = mult[:, None] * x
+    weighted_inverse = mult[:, None] * inverse
+    return (
+        np.einsum("kii->k", weighted),
+        np.einsum("kij,lji->kl", weighted, x),
+        np.einsum("kij,ji->k", weighted, inverse),
+        float(np.trace(weighted_inverse)),
+        float(np.einsum("ij,ji->", weighted_inverse, inverse)),
+    )
 
 
 @dataclass(frozen=True)
@@ -135,7 +209,8 @@ def optimize_weights(
 
     Newton-centered barrier path following on the epigraph variables
     ``(w, s)``: each stage minimizes ``t*s`` plus the log-det barrier of the
-    two spectral constraints and the box bounds, then ``t`` grows by
+    two spectral constraints (on the stacked symmetry blocks of
+    :func:`block_lmi`) and the box bounds, then ``t`` grows by
     ``barrier_growth`` until the central-path gap ``nu / t`` falls below
     ``tol / 2``.  A stage ends after ``stage_iters`` Newton steps, a failed
     line search, or once half the squared Newton decrement drops below
@@ -154,17 +229,14 @@ def optimize_weights(
         init = metropolis_weights(network)
 
     n = network.node_count
-    basis = stratum_basis_matrices(network)
-    d = len(basis)
-    eye = np.eye(n)
-    deviation = eye - np.full((n, n), 1.0 / n)
+    constant, basis, mult = block_lmi(network.spec)
+    d, size = len(basis), len(mult)
+    flat_basis = basis.reshape(d, -1)
+    eye = np.eye(size)
     lo, hi = box_margin, 1.0 - box_margin
 
     def matrix_of(w: np.ndarray) -> np.ndarray:
-        m = deviation.copy()
-        for k in range(d):
-            m += w[k] * basis[k]
-        return m
+        return constant + (w @ flat_basis).reshape(size, size)
 
     def true_objective(w: np.ndarray) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(matrix_of(w)))))
@@ -179,8 +251,11 @@ def optimize_weights(
             chol_q = np.linalg.cholesky(s * eye + m)
         except np.linalg.LinAlgError:
             return None
-        logdet = 2.0 * (
-            np.sum(np.log(np.diag(chol_p))) + np.sum(np.log(np.diag(chol_q)))
+        # The Cholesky factor of a block-diagonal matrix is block-diagonal,
+        # so weighting its diagonal by row multiplicity counts each block's
+        # log-determinant as often as the block occurs.
+        logdet = 2.0 * float(
+            mult @ (np.log(np.diag(chol_p)) + np.log(np.diag(chol_q)))
         )
         return t * s - logdet - float(np.sum(np.log(w - lo) + np.log(hi - w)))
 
@@ -200,33 +275,27 @@ def optimize_weights(
     lower_bound = 0.0
 
     while iterations < max_iters:
+        current = barrier_value(w, s, t)
         for _ in range(stage_iters):
             if iterations >= max_iters:
                 break
             iterations += 1
             m = matrix_of(w)
-            p_inv = np.linalg.inv(s * eye - m)
-            q_inv = np.linalg.inv(s * eye + m)
-            xp = [p_inv @ bk for bk in basis]
-            xq = [q_inv @ bk for bk in basis]
-
+            p_trace, p_pair, p_cross, p_inv_trace, p_inv_pair = _constraint_terms(
+                np.linalg.inv(s * eye - m), basis, mult
+            )
+            q_trace, q_pair, q_cross, q_inv_trace, q_inv_pair = _constraint_terms(
+                np.linalg.inv(s * eye + m), basis, mult
+            )
+            box_inner, box_outer = 1.0 / (w - lo), 1.0 / (hi - w)
             grad = np.empty(d + 1)
             hess = np.empty((d + 1, d + 1))
-            for k in range(d):
-                grad[k] = (
-                    np.trace(xp[k])
-                    - np.trace(xq[k])
-                    - 1.0 / (w[k] - lo)
-                    + 1.0 / (hi - w[k])
-                )
-                for l in range(k, d):
-                    v = np.sum(xp[k] * xp[l].T) + np.sum(xq[k] * xq[l].T)
-                    hess[k, l] = hess[l, k] = v
-                hess[k, k] += 1.0 / (w[k] - lo) ** 2 + 1.0 / (hi - w[k]) ** 2
-                cross = -np.sum(p_inv * xp[k].T) + np.sum(q_inv * xq[k].T)
-                hess[k, d] = hess[d, k] = cross
-            grad[d] = t - np.trace(p_inv) - np.trace(q_inv)
-            hess[d, d] = np.sum(p_inv * p_inv.T) + np.sum(q_inv * q_inv.T)
+            grad[:d] = p_trace - q_trace - box_inner + box_outer
+            pair = p_pair + q_pair
+            hess[:d, :d] = 0.5 * (pair + pair.T) + np.diag(box_inner**2 + box_outer**2)
+            hess[:d, d] = hess[d, :d] = q_cross - p_cross
+            grad[d] = t - p_inv_trace - q_inv_trace
+            hess[d, d] = p_inv_pair + q_inv_pair
 
             try:
                 step = np.linalg.solve(hess, -grad)
@@ -249,7 +318,6 @@ def optimize_weights(
             if decrement / 2.0 < newton_tol:
                 break
 
-            current = barrier_value(w, s, t)
             slope = float(grad @ step)
             alpha = 1.0
             while alpha > 1e-12:
@@ -261,7 +329,7 @@ def optimize_weights(
                 alpha *= 0.5
             else:
                 break
-            w, s = w_next, s_next
+            w, s, current = w_next, s_next, value
             final_step = alpha
 
             f = true_objective(w)

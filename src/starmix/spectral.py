@@ -1,13 +1,16 @@
 """Weight-matrix assembly, eigenvalue reports, and structural decompositions.
 
-The full averaging matrix of a star-of-paths network block-diagonalizes
-under its branch-permutation symmetry into one core block coupling the
-center to a representative of each branch type, plus ``counts[p] - 1``
-copies of a tridiagonal block per branch type.  This module builds both
-the full matrix and those blocks directly and exposes the invariants that
-tie them together (spectrum union, Cauchy interlacing, rank-one
-expansions), which is how the construction is verified without ever
-materializing the symmetry-adapted basis.
+The full averaging matrix of a star-of-paths network with ``K`` cores
+block-diagonalizes under its branch- and core-permutation symmetry into
+one core block coupling the symmetric core coordinate to a representative
+of each branch type, ``counts[p] - 1`` copies of a tridiagonal block per
+branch type, and the scalar core-replica eigenvalue ``1 - sum n_p w1_p``
+repeated ``K - 1`` times (eigenvectors on differences of core
+coordinates).  This module builds both the full matrix and those blocks
+directly and exposes the invariants that tie them together (spectrum
+union, Cauchy interlacing, rank-one expansions), which is how the
+construction is verified without ever materializing the symmetry-adapted
+basis.
 """
 
 from __future__ import annotations
@@ -84,13 +87,16 @@ def spectral_report(matrix: np.ndarray, *, tie_tol: float = 1e-8) -> SpectralRep
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Symmetry blocks of the averaging matrix for a single-core network.
+    """Symmetry blocks of the averaging matrix for any core count ``K``.
 
     ``branch_blocks[p-1]`` is the tridiagonal block of branch type ``p``
     (appearing with multiplicity ``counts[p] - 1`` in the full spectrum),
-    ``core_block`` couples the center coordinate to one representative
-    chain per branch type, and ``reduced_block`` is the core block with its
-    center row and column deleted (the direct sum of the branch blocks).
+    ``core_block`` couples the symmetric core coordinate to one
+    representative chain per branch type (coupling ``sqrt(K n_p) w1_p``),
+    and ``reduced_block`` is the core block with its core row and column
+    deleted (the direct sum of the branch blocks, head diagonal
+    ``1 - K w1_p - w2_p``).  The core-replica eigenvalue is not a block;
+    :func:`spectrum_union` adds it.
     """
 
     spec: BranchSpec
@@ -99,12 +105,13 @@ class BlockDecomposition:
     reduced_block: np.ndarray
 
 
-def _branch_block(row: tuple[float, ...]) -> np.ndarray:
+def _branch_block(row: tuple[float, ...], cores: int) -> np.ndarray:
     m = len(row)
     block = np.zeros((m, m))
     for j in range(m):
         nxt = row[j + 1] if j + 1 < m else 0.0
-        block[j, j] = 1.0 - row[j] - nxt
+        # The head has one edge to each core.
+        block[j, j] = 1.0 - (cores * row[j] if j == 0 else row[j]) - nxt
         if j + 1 < m:
             block[j, j + 1] = nxt
             block[j + 1, j] = nxt
@@ -112,10 +119,8 @@ def _branch_block(row: tuple[float, ...]) -> np.ndarray:
 
 
 def block_decomposition(spec: BranchSpec, weights: StratifiedWeights) -> BlockDecomposition:
-    """Build the symmetry blocks from stratified weights (single core only)."""
-    if spec.cores != 1:
-        raise ValueError("block decomposition is defined for single-core networks")
-    blocks = tuple(_branch_block(row) for row in weights.strata)
+    """Build the symmetry blocks from stratified weights."""
+    blocks = tuple(_branch_block(row, spec.cores) for row in weights.strata)
 
     total = sum(spec.lengths)
     reduced = np.zeros((total, total))
@@ -127,7 +132,7 @@ def block_decomposition(spec: BranchSpec, weights: StratifiedWeights) -> BlockDe
     ):
         reduced[offset : offset + m, offset : offset + m] = block
         core[1 + offset : 1 + offset + m, 1 + offset : 1 + offset + m] = block
-        coupling = np.sqrt(n) * row[0]
+        coupling = np.sqrt(spec.cores * n) * row[0]
         core[0, 1 + offset] = coupling
         core[1 + offset, 0] = coupling
         head_sum += n * row[0]
@@ -142,12 +147,15 @@ def spectrum_union(decomp: BlockDecomposition) -> np.ndarray:
     """Multiset of eigenvalues the blocks predict for the full matrix, descending.
 
     The core block contributes once; each branch block contributes
-    ``counts[p] - 1`` times.
+    ``counts[p] - 1`` times; the core-replica eigenvalue, the core block's
+    diagonal ``1 - sum n_p w1_p``, contributes ``cores - 1`` times.
     """
+    spec = decomp.spec
     parts = [symmetric_eigenvalues(decomp.core_block)]
-    for n, block in zip(decomp.spec.counts, decomp.branch_blocks):
+    for n, block in zip(spec.counts, decomp.branch_blocks):
         evals = symmetric_eigenvalues(block)
         parts.extend([evals] * (n - 1))
+    parts.append(np.full(spec.cores - 1, decomp.core_block[0, 0]))
     return np.sort(np.concatenate(parts))[::-1]
 
 
@@ -207,12 +215,14 @@ def interlacing_check(decomp: BlockDecomposition, *, tol: float = 1e-10) -> Inte
 def stationary_vector(spec: BranchSpec) -> np.ndarray:
     """Unit eigenvector of the core block at eigenvalue one.
 
-    Entry 0 (the center coordinate) is 1 and each branch coordinate of type
-    ``p`` is ``sqrt(counts[p])``, normalized; the core block fixes it for
-    any stratified weights.
+    Entry 0 (the core coordinate) is ``sqrt(cores)`` and each branch
+    coordinate of type ``p`` is ``sqrt(counts[p])``, normalized: the
+    all-ones vector in the symmetry-adapted basis.  The core block fixes it
+    for any stratified weights.
     """
     total = sum(spec.lengths)
     v = np.ones(total + 1)
+    v[0] = np.sqrt(spec.cores)
     offset = 1
     for m, n in zip(spec.lengths, spec.counts):
         v[offset : offset + m] = np.sqrt(n)
@@ -232,8 +242,9 @@ class IncidenceFactors:
         core_block    = I - sum w[p][i] * c c^T
 
     They play the role of signed incidence vectors of the quotient graph:
-    the head factor of the core block couples to the center with weight
-    ``-sqrt(counts[p])``, and every deeper factor is a plain difference.
+    the head factor of the core block is ``-sqrt(counts[p]) e_0 +
+    sqrt(cores) e_head``, that of the reduced block ``sqrt(cores) e_head``,
+    and every deeper factor is a plain difference.
     """
 
     reduced: tuple[tuple[np.ndarray, ...], ...]
@@ -242,6 +253,7 @@ class IncidenceFactors:
 
 def incidence_factors(spec: BranchSpec) -> IncidenceFactors:
     total = sum(spec.lengths)
+    head = np.sqrt(spec.cores)
     reduced_rows = []
     core_rows = []
     offset = 0
@@ -252,9 +264,9 @@ def incidence_factors(spec: BranchSpec) -> IncidenceFactors:
             r = np.zeros(total)
             c = np.zeros(total + 1)
             if i == 1:
-                r[offset] = 1.0
+                r[offset] = head
                 c[0] = -np.sqrt(n)
-                c[1 + offset] = 1.0
+                c[1 + offset] = head
             else:
                 r[offset + i - 2] = -1.0
                 r[offset + i - 1] = 1.0

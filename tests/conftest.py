@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from starmix import BranchSpec
+from starmix import BranchSpec, StratifiedWeights
 
 
 def make_random_spec(
@@ -28,6 +29,25 @@ def random_strata(rng: np.random.Generator, spec: BranchSpec):
     return tuple(
         tuple(float(rng.uniform(0.05, 0.95)) for _ in range(m)) for m in spec.lengths
     )
+
+
+@st.composite
+def branch_specs(draw):
+    """Specs in the ranges of ``make_random_spec``, with one to four cores."""
+    lengths = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
+    size = len(lengths)
+    counts = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return BranchSpec(tuple(lengths), tuple(counts), draw(st.integers(1, 4)))
+
+
+@st.composite
+def specs_with_weights(draw):
+    """A ``branch_specs`` spec with arbitrary interior stratified weights."""
+    spec = draw(branch_specs())
+    strata = tuple(
+        tuple(draw(st.floats(0.05, 0.95)) for _ in range(m)) for m in spec.lengths
+    )
+    return spec, StratifiedWeights(scheme="random", strata=strata)
 
 
 @pytest.fixture

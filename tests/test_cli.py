@@ -36,19 +36,31 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def drop_edge(edges):
-    u, v, _ = edges.pop(5)
-    return f"edge ({u}, {v})"
+# Edits of a baseline's ``slem`` document: each returns the edited document
+# and the text the validation detail must name.
+def drop_edge(doc):
+    u, v, _ = doc["weights"]["edges"].pop(5)
+    return doc, f"edge ({u}, {v})"
 
 
-def add_self_loop(edges):
-    edges.append([0, 0, 0.5])
-    return "(0, 0)"
+def add_self_loop(doc):
+    doc["weights"]["edges"].append([0, 0, 0.5])
+    return doc, "(0, 0)"
 
 
-def change_one_weight(edges):
-    edges[0][2] /= 2.0
-    return "stratum (1, 1)"
+def change_one_weight(doc):
+    doc["weights"]["edges"][0][2] /= 2.0
+    return doc, "stratum (1, 1)"
+
+
+def top_level_array(doc):
+    return doc["weights"]["edges"], "not a JSON object"
+
+
+def null_weight(doc):
+    u, v, _ = doc["weights"]["edges"][3]
+    doc["weights"]["edges"][3][2] = None
+    return doc, f"edge entry [{u}, {v}, None]"
 
 
 def parse_csv(text):
@@ -211,6 +223,19 @@ class TestValidateCommand:
         assert checks["interlacing"]["status"] == "skip"
         assert ">= 2" in checks["interlacing"]["detail"]
 
+    def test_block_checks_run_for_three_cores(self, capsys, tmp_path):
+        path = tmp_path / "three_cores.json"
+        path.write_text(json.dumps({"m": [2, 3, 4], "n": [3, 2, 2], "K": 3}))
+        code, out, _ = run_cli(
+            capsys, ["validate", "--spec", str(path), "--skip-optimizer"]
+        )
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("spectrum_union", "rank_one_reconstruction", "stationary_vector"):
+            assert checks[name]["status"] == "pass", checks[name]
+        assert checks["interlacing"]["status"] == "skip"
+        assert "one core" in checks["interlacing"]["detail"]
+
     def test_weights_roundtrip(self, capsys, tmp_path, spec_file):
         weights_path = tmp_path / "w.json"
         code, _, _ = run_cli(capsys, ["slem", "--spec", spec_file, "--out", str(weights_path)])
@@ -240,7 +265,10 @@ class TestValidateCommand:
         assert checks["weights_roundtrip"]["status"] == "fail"
         assert "outside (0, 1]" in checks["weights_roundtrip"]["detail"]
 
-    @pytest.mark.parametrize("edit", [drop_edge, add_self_loop, change_one_weight])
+    @pytest.mark.parametrize(
+        "edit",
+        [drop_edge, add_self_loop, change_one_weight, top_level_array, null_weight],
+    )
     def test_edited_edge_table_fails_naming_the_fault(
         self, capsys, tmp_path, spec_file, edit
     ):
@@ -250,8 +278,7 @@ class TestValidateCommand:
             ["slem", "--spec", spec_file, "--scheme", "metropolis",
              "--out", str(weights_path)],
         )
-        doc = json.loads(weights_path.read_text())
-        named = edit(doc["weights"]["edges"])
+        doc, named = edit(json.loads(weights_path.read_text()))
         weights_path.write_text(json.dumps(doc))
         code, out, _ = run_cli(
             capsys,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_spec, random_strata
+from conftest import make_random_spec, random_strata, specs_with_weights
 from starmix import (
     BranchSpec,
     StratifiedWeights,
@@ -11,6 +13,7 @@ from starmix import (
 )
 from starmix.numopt import (
     OptimizationResult,
+    block_lmi,
     eigenvalue_gradients,
     optimize_weights,
     stratum_basis_matrices,
@@ -167,3 +170,48 @@ def test_eigenvalue_gradients_match_finite_differences(trial):
         scale_min = max(abs(fd_min), abs(grad_min[k]), 1e-8)
         assert abs(fd2 - grad2[k]) / scale2 <= 1e-3
         assert abs(fd_min - grad_min[k]) / scale_min <= 1e-3
+
+
+@settings(deadline=None)
+@given(case=specs_with_weights(), margin=st.floats(1e-3, 1.0))
+def test_block_lmi_matches_dense_constraint(case, margin):
+    # Counts of 1 drop a branch block and one core drops the replica row;
+    # the multiplicity-weighted stack must still reproduce the full barrier.
+    spec, weights = case
+    network = build_network(spec)
+    n = network.node_count
+    w = np.array([v for row in weights.strata for v in row])
+    dense = np.eye(n) - np.full((n, n), 1.0 / n)
+    for wk, basis in zip(w, stratum_basis_matrices(network)):
+        dense += wk * basis
+    constant, basis, mult = block_lmi(spec)
+    stacked = constant + np.tensordot(w, basis, axes=1)
+    assert mult.sum() == n
+    assert len(mult) <= 2 * sum(spec.lengths) + 2
+    modulus = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    assert np.max(np.abs(np.linalg.eigvalsh(stacked))) == pytest.approx(modulus, rel=1e-10)
+    s = modulus + margin
+    for sign in (1.0, -1.0):
+        sign_d, logdet_dense = np.linalg.slogdet(s * np.eye(n) - sign * dense)
+        chol = np.linalg.cholesky(s * np.eye(len(mult)) - sign * stacked)
+        logdet_stacked = 2.0 * float(mult @ np.log(np.diag(chol)))
+        assert sign_d == 1.0
+        assert logdet_stacked == pytest.approx(logdet_dense, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BranchSpec(lengths=(1, 2), counts=(1, 3), cores=1),
+        BranchSpec(lengths=(2, 3), counts=(1, 2), cores=3),
+        BranchSpec(lengths=(1, 2, 3), counts=(1, 1, 1), cores=2),
+    ],
+    ids=["count-one-k1", "count-one-k3", "all-counts-one-k2"],
+)
+def test_certificate_with_dropped_blocks(spec):
+    # A branch type with one branch contributes no branch block to the LMI.
+    network = build_network(spec)
+    result = optimize_weights(network)
+    assert result.converged
+    feasible = slem(assemble_weight_matrix(network, optimal_weights(spec)))
+    assert result.slem - result.certified_gap <= feasible + 1e-12

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_random_spec, random_strata
+from conftest import make_random_spec, random_strata, specs_with_weights
 from starmix import (
     BranchSpec,
     StratifiedWeights,
@@ -115,10 +116,14 @@ class TestBlockDecomposition:
         decomp = block_decomposition(spec, weights)
         assert np.array_equal(decomp.reduced_block, decomp.core_block[1:, 1:])
 
-    def test_multi_core_rejected(self):
+    def test_two_core_three_path_blocks(self):
+        # Cores 0 and 1 both join tips 2 and 3, all weights 1/4.
         spec = BranchSpec(lengths=(1,), counts=(2,), cores=2)
-        with pytest.raises(ValueError):
-            block_decomposition(spec, optimal_weights(spec))
+        weights = StratifiedWeights(scheme="x", strata=((0.25,),))
+        decomp = block_decomposition(spec, weights)
+        assert np.allclose(decomp.branch_blocks[0], [[0.5]])
+        assert np.allclose(decomp.core_block, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        assert np.allclose(spectrum_union(decomp), [1.0, 0.5, 0.5, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_spectrum_union_matches_full_matrix(self, trial):
@@ -130,6 +135,16 @@ class TestBlockDecomposition:
         union = spectrum_union(block_decomposition(spec, weights))
         assert union.shape == full.shape
         assert np.max(np.abs(full - union)) <= 1e-8
+
+    @settings(deadline=None)
+    @given(case=specs_with_weights())
+    def test_spectrum_union_matches_full_matrix_any_core_count(self, case):
+        # The replica eigenvalue fills the cores - 1 slots the blocks miss.
+        spec, weights = case
+        full = symmetric_eigenvalues(assemble_weight_matrix(build_network(spec), weights))
+        union = spectrum_union(block_decomposition(spec, weights))
+        assert union.shape == full.shape
+        assert np.max(np.abs(full - union)) <= 1e-9
 
 
 class TestInterlacing:
@@ -209,6 +224,17 @@ class TestStationaryVector:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(decomp.core_block @ v - v) <= 1e-10
 
+    @settings(deadline=None)
+    @given(case=specs_with_weights())
+    def test_fixed_by_core_block_any_core_count(self, case):
+        spec, weights = case
+        decomp = block_decomposition(spec, weights)
+        v = stationary_vector(spec)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(decomp.core_block @ v - v) <= 1e-10
+        # It is the all-ones direction: its core entry carries all K cores.
+        assert v[0] ** 2 * spec.node_count == pytest.approx(spec.cores, rel=1e-12)
+
 
 class TestRankOneFactors:
     def test_unit_length_vectors(self):
@@ -238,6 +264,15 @@ class TestRankOneFactors:
         rng = np.random.default_rng(90 + trial)
         spec = make_random_spec(rng)
         weights = StratifiedWeights(scheme="random", strata=random_strata(rng, spec))
+        decomp = block_decomposition(spec, weights)
+        reduced, core = blocks_from_factors(spec, weights)
+        assert np.max(np.abs(reduced - decomp.reduced_block)) <= 1e-12
+        assert np.max(np.abs(core - decomp.core_block)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(case=specs_with_weights())
+    def test_reconstruction_any_core_count(self, case):
+        spec, weights = case
         decomp = block_decomposition(spec, weights)
         reduced, core = blocks_from_factors(spec, weights)
         assert np.max(np.abs(reduced - decomp.reduced_block)) <= 1e-12

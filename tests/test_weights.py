@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import make_random_spec
+from conftest import branch_specs, make_random_spec
 from starmix import (
     BranchSpec,
     EvaluationError,
@@ -36,15 +35,6 @@ def assemble(network, weights):
             matrix[u, v] = matrix[v, u] = w
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
-
-
-@st.composite
-def branch_specs(draw):
-    """Specs in the ranges of ``make_random_spec``, with one to four cores."""
-    lengths = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
-    size = len(lengths)
-    counts = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
-    return BranchSpec(tuple(lengths), tuple(counts), draw(st.integers(1, 4)))
 
 
 def modulus(matrix):
