@@ -35,6 +35,8 @@ from .spectral import (
     SpectralReport,
     assemble_weight_matrix,
     block_decomposition,
+    block_slem,
+    block_spectrum,
     blocks_from_factors,
     incidence_factors,
     interlacing_check,

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import __version__
 from .numopt import _flatten, optimize_weights
-from .sim import SimulationConfig, run_trials
+from .sim import ConvergenceTrace, SimulationConfig, run_trials
 from .spectral import (
     assemble_weight_matrix,
     block_decomposition,
+    block_slem,
+    block_spectrum,
     blocks_from_factors,
     interlacing_check,
-    slem,
     spectrum_union,
     stationary_vector,
     symmetric_eigenvalues,
@@ -200,7 +201,7 @@ def compute_scheme(spec: BranchSpec, scheme: str) -> dict:
     return {
         "spec": spec.to_dict(),
         "scheme": scheme,
-        "slem": slem(assemble_weight_matrix(network, weights)),
+        "slem": block_slem(spec, weights),
         "theta": None if solution is None else solution.theta,
         "weights": table,
         "metadata": {
@@ -382,7 +383,7 @@ def sweep_rows(spec: BranchSpec, k_min: int, k_max_swept: int) -> tuple[list[dic
 
     ``slem_closed_form`` is cos(theta), reported only while the closed form
     is valid.  ``slem_formula_weights`` evaluates the closed-form weights on
-    the assembled matrix for every K (past the validity bound the core-replica
+    the symmetry blocks for every K (past the validity bound the core-replica
     eigenvalue takes over, which is what turns the published curve upward).
     ``slem_numeric`` is the certified optimizer value.
     """
@@ -390,16 +391,14 @@ def sweep_rows(spec: BranchSpec, k_min: int, k_max_swept: int) -> tuple[list[dic
     rows = []
     for k in range(k_min, k_max_swept + 1):
         candidate = BranchSpec(spec.lengths, spec.counts, k)
-        network = build_network(candidate)
         solution = solve_theta(candidate)
         formula = optimal_weights(candidate, solution)
-        formula_slem = slem(assemble_weight_matrix(network, formula))
-        numeric = optimize_weights(network)
+        numeric = optimize_weights(build_network(candidate))
         rows.append(
             {
                 "K": k,
                 "slem_closed_form": solution.slem if k <= limit else None,
-                "slem_formula_weights": formula_slem,
+                "slem_formula_weights": block_slem(candidate, formula),
                 "slem_numeric": numeric.slem,
                 "numeric_converged": numeric.converged,
                 "certified_gap": numeric.certified_gap,
@@ -440,6 +439,18 @@ def cmd_sweep_k(args) -> int:
     return EXIT_OK
 
 
+def _fitted_decay(trace: ConvergenceTrace) -> float | None:
+    """Fitted decay rate of a trace, or None when it cannot be fitted.
+
+    A trace that reaches exact consensus, or has no iterations, keeps fewer
+    than two points above the noise floor.
+    """
+    try:
+        return trace.fitted_decay_rate()
+    except ValueError:
+        return None
+
+
 def cmd_simulate(args) -> int:
     started = time.time()
     spec = _load_spec(args.spec)
@@ -454,15 +465,15 @@ def cmd_simulate(args) -> int:
     traces = {}
     slems = {}
     for scheme in schemes:
-        matrix = assemble_weight_matrix(network, scheme_weights(network, scheme)[0])
-        slems[scheme] = slem(matrix)
+        weights = scheme_weights(network, scheme)[0]
+        slems[scheme] = block_slem(spec, weights)
         if slems[scheme] >= 1.0:
             print(
                 f"warning: scheme {scheme} has SLEM {slems[scheme]:.6f} >= 1; "
                 "the iteration will not converge",
                 file=sys.stderr,
             )
-        traces[scheme] = run_trials(matrix, config)
+        traces[scheme] = run_trials(assemble_weight_matrix(network, weights), config)
 
     rows = []
     for t in range(config.iterations + 1):
@@ -478,9 +489,12 @@ def cmd_simulate(args) -> int:
             "seed": config.seed,
         },
         "slem": slems,
+        # Only JSON carries the fit; CSV writes the traces alone.
         "fitted_decay": {
-            scheme: traces[scheme].fitted_decay_rate() for scheme in schemes
-        },
+            scheme: _fitted_decay(traces[scheme]) for scheme in schemes
+        }
+        if args.format == "json"
+        else None,
         "traces": {scheme: list(traces[scheme].errors) for scheme in schemes},
     }
     manifest = _manifest(
@@ -524,7 +538,7 @@ def run_validation(
     allowed = network.adjacency() + np.eye(network.node_count)
     for scheme, (weights, _) in built.items():
         matrix = assemble_weight_matrix(network, weights)
-        evals = symmetric_eigenvalues(matrix)
+        evals = block_spectrum(spec, weights)
         scheme_slem = float(max(evals[1], -evals[-1]))
         sym_ok = bool(np.array_equal(matrix, matrix.T))
         rows_ok = bool(np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= 1e-12)
@@ -671,8 +685,7 @@ def run_validation(
     if weights_document is not None:
         try:
             loaded = weights_from_document(weights_document, network)
-            matrix = assemble_weight_matrix(network, loaded)
-            recomputed = slem(matrix)
+            recomputed = block_slem(spec, loaded)
             stored = weights_document["slem"]
             if not _is_number(stored):
                 raise ValueError(f"weights document 'slem' {stored!r} is not a number")

@@ -41,7 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import assemble_weight_matrix, incidence_factors, slem, stationary_vector
+from .spectral import (
+    assemble_weight_matrix,
+    block_slem,
+    incidence_factors,
+    stationary_vector,
+)
 from .topology import BranchSpec, StarNetwork
 from .weights import StratifiedWeights, metropolis_weights
 
@@ -170,8 +175,9 @@ def _constraint_terms(
 class OptimizationResult:
     """Outcome of an optimization run.
 
-    ``slem`` is recomputed from the returned weights, so it is exactly the
-    modulus of the matrix they assemble.  ``objective_history`` holds the
+    ``slem`` is recomputed from the returned weights on the symmetry blocks
+    (:func:`starmix.spectral.block_slem`), so it is the modulus of the
+    matrix they assemble.  ``objective_history`` holds the
     true objective at each accepted iterate and ``best_history`` its running
     minimum; the returned weights are the best iterate visited.
     ``certified_gap`` is the best objective visited minus the largest lower
@@ -182,6 +188,12 @@ class OptimizationResult:
     (1 - lam)) / t`` with ``nu = 2n + 2d``; this holds at every such
     iterate, central or not.  ``converged`` means exactly
     ``certified_gap <= tol``.
+
+    ``stop_reason`` says how the final barrier stage ended: ``"decrement"``
+    (half the squared Newton decrement fell below ``newton_tol``),
+    ``"stage_budget"`` (all ``stage_iters`` steps were taken),
+    ``"line_search"`` (the backtracking step fell below 1e-12) or
+    ``"max_iters"`` (the total step cap cut the stage short).
     """
 
     weights: StratifiedWeights
@@ -192,6 +204,7 @@ class OptimizationResult:
     certified_gap: float
     objective_history: np.ndarray
     best_history: np.ndarray
+    stop_reason: str
 
 
 def optimize_weights(
@@ -270,14 +283,17 @@ def optimize_weights(
     iterations = 0
     final_step = 0.0
     t = 1.0
+    stop_reason = "max_iters"
     # The eigenvalue modulus is non-negative, so 0 is a valid starting bound
     # and keeps the gap finite when no iterate qualifies below.
     lower_bound = 0.0
 
     while iterations < max_iters:
         current = barrier_value(w, s, t)
+        stop_reason = "stage_budget"
         for _ in range(stage_iters):
             if iterations >= max_iters:
+                stop_reason = "max_iters"
                 break
             iterations += 1
             m = matrix_of(w)
@@ -316,6 +332,7 @@ def optimize_weights(
                 slack = nu + (lam + np.sqrt(nu)) * lam / (1.0 - lam)
                 lower_bound = max(lower_bound, s - slack / t)
             if decrement / 2.0 < newton_tol:
+                stop_reason = "decrement"
                 break
 
             slope = float(grad @ step)
@@ -328,6 +345,7 @@ def optimize_weights(
                     break
                 alpha *= 0.5
             else:
+                stop_reason = "line_search"
                 break
             w, s, current = w_next, s_next, value
             final_step = alpha
@@ -345,7 +363,7 @@ def optimize_weights(
 
     certified_gap = max(best_f - lower_bound, 0.0)
     weights = _unflatten(network, best_w, "numeric")
-    achieved = slem(assemble_weight_matrix(network, weights))
+    achieved = block_slem(network.spec, weights)
     return OptimizationResult(
         weights=weights,
         slem=achieved,
@@ -355,4 +373,5 @@ def optimize_weights(
         certified_gap=certified_gap,
         objective_history=np.array(objective_history),
         best_history=np.array(best_history),
+        stop_reason=stop_reason,
     )

@@ -11,16 +11,35 @@ directly and exposes the invariants that tie them together (spectrum
 union, Cauchy interlacing, rank-one expansions), which is how the
 construction is verified without ever materializing the symmetry-adapted
 basis.
+
+Every spectrum of stratified weights the package reports comes from the
+blocks (:func:`block_spectrum`, :func:`block_slem`), at a cost set by
+``sum(lengths)`` rather than the node count.  The dense matrix and its
+``eigvalsh`` (:func:`symmetric_eigenvalues`, :func:`slem`,
+:func:`spectral_report`) are the oracle that the tests and ``validate``'s
+``spectrum_union`` check hold the blocks to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .topology import BranchSpec, StarNetwork
-from .weights import StratifiedWeights
+
+if TYPE_CHECKING:
+    from .weights import StratifiedWeights
+
+
+def _check_strata_shape(spec: BranchSpec, weights: StratifiedWeights) -> None:
+    if len(weights.strata) != spec.branch_types or any(
+        len(row) != m for row, m in zip(weights.strata, spec.lengths)
+    ):
+        raise ValueError(
+            "stratified weights do not match the network's branch structure"
+        )
 
 
 def assemble_weight_matrix(network: StarNetwork, weights: StratifiedWeights) -> np.ndarray:
@@ -30,12 +49,7 @@ def assemble_weight_matrix(network: StarNetwork, weights: StratifiedWeights) -> 
     minus its off-diagonal row sum, so rows sum to one exactly and the
     all-ones vector is fixed.
     """
-    if len(weights.strata) != network.spec.branch_types or any(
-        len(row) != m for row, m in zip(weights.strata, network.spec.lengths)
-    ):
-        raise ValueError(
-            "stratified weights do not match the network's branch structure"
-        )
+    _check_strata_shape(network.spec, weights)
     n = network.node_count
     matrix = np.zeros((n, n))
     for stratum in network.strata:
@@ -120,6 +134,7 @@ def _branch_block(row: tuple[float, ...], cores: int) -> np.ndarray:
 
 def block_decomposition(spec: BranchSpec, weights: StratifiedWeights) -> BlockDecomposition:
     """Build the symmetry blocks from stratified weights."""
+    _check_strata_shape(spec, weights)
     blocks = tuple(_branch_block(row, spec.cores) for row in weights.strata)
 
     total = sum(spec.lengths)
@@ -157,6 +172,17 @@ def spectrum_union(decomp: BlockDecomposition) -> np.ndarray:
         parts.extend([evals] * (n - 1))
     parts.append(np.full(spec.cores - 1, decomp.core_block[0, 0]))
     return np.sort(np.concatenate(parts))[::-1]
+
+
+def block_spectrum(spec: BranchSpec, weights: StratifiedWeights) -> np.ndarray:
+    """Eigenvalues of the averaging matrix of ``weights``, descending, from the blocks."""
+    return spectrum_union(block_decomposition(spec, weights))
+
+
+def block_slem(spec: BranchSpec, weights: StratifiedWeights) -> float:
+    """Second-largest eigenvalue modulus max(lambda_2, -lambda_min), from the blocks."""
+    evals = block_spectrum(spec, weights)
+    return float(max(evals[1], -evals[-1]))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ The baseline schemes (Metropolis, maximum-degree, best-constant) are
 built from node degrees and the graph Laplacian spectrum.  Permuting
 branches of equal length changes neither, so the baselines, like the
 optimal scheme, are constant on each edge stratum, and every scheme is
-carried in stratum form.
+carried in stratum form.  The Laplacian is ``I - W(1)``, the identity
+minus the averaging matrix with every stratum weight 1, so its extreme
+eigenvalues come from the symmetry blocks of :mod:`starmix.spectral`
+without forming an ``n x n`` matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import block_spectrum
 from .topology import BranchSpec, StarNetwork
 
 
@@ -276,14 +280,20 @@ def max_degree_weights(network: StarNetwork) -> StratifiedWeights:
 
 
 def best_constant_alpha(network: StarNetwork) -> float:
-    """Optimal uniform edge weight 2 / (lambda_max(L) + lambda_2(L)), L = D - A."""
-    adj = network.adjacency()
-    lap = np.diag(adj.sum(axis=1)) - adj
-    evals = np.linalg.eigvalsh(lap)
-    connectivity = float(evals[1])
+    """Optimal uniform edge weight 2 / (lambda_max(L) + lambda_2(L)), L = D - A.
+
+    ``L = I - W(1)`` with ``W(1)`` the averaging matrix of unit stratum
+    weights, so ``lambda_2(L) = 1 - lambda_2(W(1))`` and ``lambda_max(L) =
+    1 - lambda_min(W(1))``, both read off the symmetry blocks.
+    """
+    unit = StratifiedWeights(
+        scheme="unit", strata=tuple((1.0,) * m for m in network.spec.lengths)
+    )
+    evals = block_spectrum(network.spec, unit)
+    connectivity = 1.0 - float(evals[1])
     if connectivity <= 1e-12:
         raise SolverError("graph Laplacian has no spectral gap; network disconnected?")
-    return 2.0 / (float(evals[-1]) + connectivity)
+    return 2.0 / (1.0 - float(evals[-1]) + connectivity)
 
 
 def best_constant_weights(network: StarNetwork) -> StratifiedWeights:

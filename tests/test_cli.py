@@ -190,6 +190,36 @@ class TestSimulateCommand:
         doc2.pop("manifest")
         assert doc1 == doc2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_consensus_has_no_fitted_decay(self, capsys, tmp_path, fmt):
+        # Best-constant weights on two nodes give W = J/2: one step reaches
+        # consensus, so no trace point above the noise floor is left to fit.
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"m": [1], "n": [1], "K": 1}))
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--spec", str(path), "--schemes", "best_constant",
+             "--trials", "4", "--iterations", "5", "--format", fmt],
+        )
+        assert code == EXIT_OK, err
+        if fmt == "json":
+            assert json.loads(out)["fitted_decay"] == {"best_constant": None}
+        else:
+            header, rows = parse_csv(out)
+            assert header == ["iteration", "best_constant"]
+            assert len(rows) == 6
+
+    def test_zero_iterations_has_no_fitted_decay(self, capsys, path_spec_file):
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--spec", path_spec_file, "--schemes", "optimal,metropolis",
+             "--trials", "3", "--iterations", "0"],
+        )
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert doc["traces"] == {"optimal": [1.0], "metropolis": [1.0]}
+        assert doc["fitted_decay"] == {"optimal": None, "metropolis": None}
+
     def test_unknown_scheme_rejected(self, capsys, path_spec_file):
         code, _, err = run_cli(
             capsys, ["simulate", "--spec", path_spec_file, "--schemes", "bogus"]

@@ -117,6 +117,26 @@ def test_iteration_budget_respected():
     assert isinstance(result, OptimizationResult)
 
 
+def test_stop_reason_stage_budget_past_core_limit():
+    # Past K_max = 40 the last stage (t = 2.56e10) takes all 120 Newton
+    # steps without its decrement reaching newton_tol.
+    spec = BranchSpec(lengths=(2, 3, 4), counts=(3, 2, 2), cores=43)
+    result = optimize_weights(build_network(spec))
+    assert result.stop_reason == "stage_budget"
+    assert not result.converged
+
+
+def test_stop_reason_max_iters():
+    result = optimize_weights(build_network(COMPARISON_SPEC), max_iters=5)
+    assert result.stop_reason == "max_iters"
+
+
+def test_stop_reason_decrement():
+    result = optimize_weights(build_network(THREE_PATH))
+    assert result.stop_reason == "decrement"
+    assert result.converged
+
+
 def test_stratum_basis_matches_assembly_difference():
     rng = np.random.default_rng(3)
     spec = make_random_spec(rng)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_spec, random_strata, specs_with_weights
+from conftest import branch_specs, make_random_spec, random_strata, specs_with_weights
 from starmix import (
     BranchSpec,
+    EvaluationError,
+    SolverError,
     StratifiedWeights,
+    best_constant_weights,
     build_network,
     max_cores,
+    max_degree_weights,
     metropolis_weights,
     optimal_weights,
     solve_theta,
@@ -15,6 +20,8 @@ from starmix import (
 from starmix.spectral import (
     assemble_weight_matrix,
     block_decomposition,
+    block_slem,
+    block_spectrum,
     blocks_from_factors,
     incidence_factors,
     interlacing_check,
@@ -145,6 +152,40 @@ class TestBlockDecomposition:
         union = spectrum_union(block_decomposition(spec, weights))
         assert union.shape == full.shape
         assert np.max(np.abs(full - union)) <= 1e-9
+
+
+class TestBlockSpectrum:
+    @settings(deadline=None)
+    @given(spec=branch_specs(), data=st.data())
+    def test_matches_dense_oracle_for_every_scheme(self, spec, data):
+        network = build_network(spec)
+        schemes = [
+            metropolis_weights(network),
+            max_degree_weights(network),
+            best_constant_weights(network),
+            StratifiedWeights(
+                scheme="random",
+                strata=tuple(
+                    tuple(data.draw(st.floats(0.05, 0.95)) for _ in range(m))
+                    for m in spec.lengths
+                ),
+            ),
+        ]
+        try:
+            schemes.append(optimal_weights(spec))
+        except (SolverError, EvaluationError):
+            pass
+        for weights in schemes:
+            matrix = assemble_weight_matrix(network, weights)
+            blocks = block_spectrum(spec, weights)
+            assert blocks.shape == (network.node_count,)
+            assert np.max(np.abs(blocks - symmetric_eigenvalues(matrix))) <= 1e-12
+            assert abs(block_slem(spec, weights) - slem(matrix)) <= 1e-12
+
+    def test_strata_shape_mismatch_rejected(self):
+        wrong = StratifiedWeights(scheme="x", strata=((0.5,), (0.5,), (0.5,)))
+        with pytest.raises(ValueError):
+            block_spectrum(COMPARISON_SPEC, wrong)
 
 
 class TestInterlacing:

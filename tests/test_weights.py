@@ -233,6 +233,15 @@ class TestBaselineSchemes:
         evals = np.sort(np.linalg.eigvalsh(matrix))
         assert evals[-2] == pytest.approx(-evals[0], abs=1e-12)
 
+    @settings(deadline=None)
+    @given(spec=branch_specs())
+    def test_best_constant_alpha_matches_dense_laplacian(self, spec):
+        network = build_network(spec)
+        adj = network.adjacency()
+        evals = np.linalg.eigvalsh(np.diag(adj.sum(axis=1)) - adj)
+        dense = 2.0 / (evals[-1] + evals[1])
+        assert best_constant_alpha(network) == pytest.approx(dense, rel=1e-12)
+
     def test_row_stochastic_all_schemes(self):
         spec = BranchSpec(lengths=(1, 2, 3), counts=(4, 3, 2), cores=1)
         network = build_network(spec)
