@@ -30,14 +30,18 @@ from .weights import (
 )
 from .spectral import (
     BlockDecomposition,
+    EdgeForm,
     IncidenceFactors,
     InterlacingReport,
     SpectralReport,
+    UnionCount,
     assemble_weight_matrix,
     block_decomposition,
     block_slem,
     block_spectrum,
     blocks_from_factors,
+    count_below,
+    edge_form,
     incidence_factors,
     interlacing_check,
     slem,
@@ -45,8 +49,9 @@ from .spectral import (
     spectrum_union,
     stationary_vector,
     symmetric_eigenvalues,
+    union_count_check,
 )
-from .numopt import OptimizationResult, eigenvalue_gradients, optimize_weights
-from .sim import ConvergenceTrace, SimulationConfig, consensus_step, run_trials
+from .numopt import OptimizationResult, optimize_weights
+from .sim import ConvergenceTrace, SimulationConfig, run_trials
 
 __version__ = "0.1.0"

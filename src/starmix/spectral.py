@@ -1,23 +1,33 @@
-"""Weight-matrix assembly, eigenvalue reports, and structural decompositions.
+"""Weight-matrix forms, eigenvalue reports, and structural decompositions.
 
-The full averaging matrix of a star-of-paths network with ``K`` cores
-block-diagonalizes under its branch- and core-permutation symmetry into
-one core block coupling the symmetric core coordinate to a representative
-of each branch type, ``counts[p] - 1`` copies of a tridiagonal block per
-branch type, and the scalar core-replica eigenvalue ``1 - sum n_p w1_p``
-repeated ``K - 1`` times (eigenvectors on differences of core
-coordinates).  This module builds both the full matrix and those blocks
-directly and exposes the invariants that tie them together (spectrum
-union, Cauchy interlacing, rank-one expansions), which is how the
-construction is verified without ever materializing the symmetry-adapted
-basis.
+The averaging matrix ``W`` of a star-of-paths network has about ``2n``
+non-zeros, and :func:`edge_form` holds exactly those: the diagonal, the
+chain weights on the superdiagonal (cores come first and each branch is a
+contiguous path in node order), and one head weight per branch type, the
+weight of every core-to-head edge of that type.  The simulator applies
+``W`` through :meth:`EdgeForm.apply`, a banded stencil, and
+:func:`count_below` counts the eigenvalues of ``W`` below any probe by
+Sylvester's law of inertia, eliminating each path from its tip to its head
+and folding the heads into the core Schur complement (Jacobs & Trevisan
+2011, "Locating the eigenvalues of trees").  Both cost O(n).
+
+The full matrix block-diagonalizes under its branch- and core-permutation
+symmetry into one core block coupling the symmetric core coordinate to a
+representative of each branch type, ``counts[p] - 1`` copies of a
+tridiagonal block per branch type, and the scalar core-replica eigenvalue
+``1 - sum n_p w1_p`` repeated ``K - 1`` times (eigenvectors on differences
+of core coordinates).  This module builds those blocks directly and
+exposes the invariants that tie them together (spectrum union, Cauchy
+interlacing, rank-one expansions), which is how the construction is
+verified without ever materializing the symmetry-adapted basis.
 
 Every spectrum of stratified weights the package reports comes from the
 blocks (:func:`block_spectrum`, :func:`block_slem`), at a cost set by
-``sum(lengths)`` rather than the node count.  The dense matrix and its
-``eigvalsh`` (:func:`symmetric_eigenvalues`, :func:`slem`,
-:func:`spectral_report`) are the oracle that the tests and ``validate``'s
-``spectrum_union`` check hold the blocks to.
+``sum(lengths)`` rather than the node count; :func:`union_count_check`
+holds the blocks' spectrum to the edge form's inertia counts.  The dense
+``n x n`` matrix (:func:`assemble_weight_matrix`) and its ``eigvalsh``
+(:func:`symmetric_eigenvalues`, :func:`slem`, :func:`spectral_report`) are
+the oracle the tests hold both forms to; no command builds them.
 """
 
 from __future__ import annotations
@@ -59,6 +69,98 @@ def assemble_weight_matrix(network: StarNetwork, weights: StratifiedWeights) -> 
             matrix[v, u] = w
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeForm:
+    """The non-zeros of the averaging matrix ``W``, in node order.
+
+    ``chain[k]`` is the weight of edge ``(k, k + 1)`` when both nodes lie on
+    one branch, else 0.  The heads of branch type ``p`` are the strided
+    slice ``head_slices[p]`` (``base : base + m n : m``), each joined to all
+    ``cores`` core nodes with weight ``head_weights[p]``.  Each diagonal
+    entry is one minus its off-diagonal row sum.  ``len(form)`` is the node
+    count.
+    """
+
+    cores: int
+    diagonal: np.ndarray
+    chain: np.ndarray
+    head_slices: tuple[slice, ...]
+    head_weights: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.diagonal)
+
+    def apply(
+        self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``W @ x`` for a vector or an ``(n, columns)`` array, as a banded stencil.
+
+        ``out`` and ``scratch`` (same shape as ``x``, neither aliasing it)
+        are reused when given; ``scratch`` is overwritten.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != len(self):
+            raise ValueError(f"state dimension {x.shape[0]} does not match form {len(self)}")
+        if x.ndim == 1:
+            return self.apply(x[:, None])[:, 0]
+        out = np.empty_like(x) if out is None else out
+        scratch = np.empty_like(x) if scratch is None else scratch
+        chain = self.chain[:, None]
+        np.multiply(self.diagonal[:, None], x, out=out)
+        np.multiply(chain, x[1:], out=scratch[:-1])
+        out[:-1] += scratch[:-1]
+        np.multiply(chain, x[:-1], out=scratch[1:])
+        out[1:] += scratch[1:]
+        k = self.cores
+        core_total = x[:k].sum(axis=0)
+        core_in = np.zeros(x.shape[1])
+        for heads, w in zip(self.head_slices, self.head_weights):
+            out[heads] += w * core_total
+            core_in += w * x[heads].sum(axis=0)
+        out[:k] += core_in
+        return out
+
+    def pairs(self) -> set[tuple[int, int]]:
+        """Node pairs ``(u, v)``, ``u < v``, that the form joins by an edge."""
+        found = {(int(k), int(k) + 1) for k in np.flatnonzero(self.chain)}
+        for heads in self.head_slices:
+            found.update((c, h) for h in range(len(self))[heads] for c in range(self.cores))
+        return found
+
+
+def edge_form(network: StarNetwork, weights: StratifiedWeights) -> EdgeForm:
+    """The O(n) edge form of the averaging matrix of ``weights`` on ``network``."""
+    spec = network.spec
+    _check_strata_shape(spec, weights)
+    n, k = spec.node_count, spec.cores
+    diagonal = np.empty(n)
+    chain = np.zeros(n - 1)
+    head_slices = []
+    base = k
+    for m, count, row in zip(spec.lengths, spec.counts, weights.strata):
+        w = np.asarray(row, dtype=float)
+        stop = base + m * count
+        links = np.zeros(m)
+        links[:-1] = w[1:]
+        # Position j's row: the edge toward the cores (all K of them at the
+        # head) plus the edge toward the tip.
+        toward_core = np.concatenate(([k * w[0]], w[1:]))
+        diagonal[base:stop] = np.tile(1.0 - (toward_core + links), count)
+        chain[base : stop - 1] = np.tile(links, count)[:-1]
+        head_slices.append(slice(base, stop, m))
+        base = stop
+    diagonal[:k] = 1.0 - sum(count * row[0] for count, row in zip(spec.counts, weights.strata))
+    diagonal.setflags(write=False)
+    chain.setflags(write=False)
+    return EdgeForm(
+        cores=k,
+        diagonal=diagonal,
+        chain=chain,
+        head_slices=tuple(head_slices),
+        head_weights=tuple(float(row[0]) for row in weights.strata),
+    )
 
 
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -183,6 +285,102 @@ def block_slem(spec: BranchSpec, weights: StratifiedWeights) -> float:
     """Second-largest eigenvalue modulus max(lambda_2, -lambda_min), from the blocks."""
     evals = block_spectrum(spec, weights)
     return float(max(evals[1], -evals[-1]))
+
+
+# A zero pivot is replaced by minus this (as LAPACK's Sturm counts do): the
+# count then treats the probe as lying just above a subtree eigenvalue.
+_PIVMIN = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _pivot(a: np.ndarray) -> np.ndarray:
+    return np.where(a == 0.0, -_PIVMIN, a)
+
+
+def count_below(form: EdgeForm, probes) -> np.ndarray:
+    """Number of eigenvalues of ``W`` strictly below each probe, by inertia.
+
+    ``W - x I`` is factored as ``L D L^T`` in an order that makes no fill:
+    each path from its tip to its head (all branches of a type at once, all
+    probes at once), then the cores.  Eliminating a head subtracts
+    ``w^2 / pivot`` from every entry of the ``K x K`` core block, which is
+    diagonal because cores are mutually non-adjacent, so the core Schur
+    complement is a diagonal plus a rank-one matrix and its pivots follow
+    from a scalar recurrence.  By Sylvester's law of inertia the count of
+    negative pivots is the count of eigenvalues below ``x``.
+    """
+    x = np.asarray(probes, dtype=float)
+    count = np.zeros(x.shape, dtype=int)
+    fold = np.zeros(x.shape)
+    for heads, w in zip(form.head_slices, form.head_weights):
+        pivot = None
+        length = heads.step
+        for j in reversed(range(length)):
+            nodes = slice(heads.start + j, heads.stop, length)
+            a = form.diagonal[nodes][:, None] - x
+            if pivot is not None:
+                a -= form.chain[nodes][:, None] ** 2 / pivot
+            pivot = _pivot(a)
+            count += np.count_nonzero(pivot < 0.0, axis=0)
+        fold += w * w * (1.0 / pivot).sum(axis=0)
+    # Core block diag(d - x) - fold 1 1^T: eliminating one core leaves the
+    # same shape with sigma -> sigma (d - x) / pivot.
+    sigma = -fold
+    for d in form.diagonal[: form.cores]:
+        pivot = _pivot(d - x + sigma)
+        count += pivot < 0.0
+        sigma = sigma * (d - x) / pivot
+    return count
+
+
+@dataclass(frozen=True)
+class UnionCount:
+    """Inertia counts of ``W`` at the edges of the windows of a predicted spectrum.
+
+    ``worst_error`` is the largest difference between an edge count and the
+    predicted count below that edge.  ``first_bad`` is ``(lo, hi, counted,
+    predicted)`` for the first window ``[lo, hi]`` whose counted
+    multiplicity differs from the predicted one; ``None`` when every count
+    agrees.
+    """
+
+    windows: int
+    worst_error: int
+    first_bad: tuple[float, float, int, int] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.worst_error == 0
+
+
+def union_count_check(form: EdgeForm, union, *, tol: float = 1e-8) -> UnionCount:
+    """Check a predicted spectrum of ``W``, multiplicities included, by counting.
+
+    The predicted eigenvalues are grouped into windows: values within
+    ``2 tol`` of each other share one, which spans ``tol`` beyond its
+    extremes.  The eigenvalues of ``W`` counted below each window edge must
+    equal the prediction's cumulative multiplicity there, so every
+    eigenvalue of ``W`` lies within ``tol`` of a predicted window holding
+    exactly as many.
+    """
+    values = np.sort(np.asarray(union, dtype=float))
+    if len(values) != len(form):
+        raise ValueError(f"{len(values)} predicted eigenvalues for {len(form)} nodes")
+    starts = np.flatnonzero(np.r_[True, np.diff(values) > 2.0 * tol])
+    ends = np.r_[starts[1:], len(values)]
+    lo, hi = values[starts] - tol, values[ends - 1] + tol
+    below_lo, below_hi = np.split(count_below(form, np.concatenate([lo, hi])), 2)
+    errors = np.maximum(np.abs(below_lo - starts), np.abs(below_hi - ends))
+    # With as many predicted eigenvalues as nodes, an edge count is off
+    # exactly when some window's multiplicity is.
+    counted, predicted = below_hi - below_lo, ends - starts
+    bad = np.flatnonzero(counted != predicted)
+    first_bad = None
+    if len(bad):
+        i = bad[0]
+        first_bad = (float(lo[i]), float(hi[i]), int(counted[i]), int(predicted[i]))
+    return UnionCount(
+        windows=len(starts), worst_error=int(errors.max()), first_bad=first_bad
+    )
 
 
 @dataclass(frozen=True)

@@ -205,25 +205,29 @@ class StarNetwork:
 
 
 def build_network(spec: BranchSpec) -> StarNetwork:
-    """Materialize nodes, edges and edge strata for a branch specification."""
-    nodes = tuple(node_at(spec, k) for k in range(spec.node_count))
+    """Materialize nodes, edges and edge strata for a branch specification.
 
+    Node ids and edges are computed per branch type from the indexing of
+    :func:`node_index`: the branches of type ``p`` occupy ``base ..
+    base + m n - 1``, branch ``i`` (0-based) starting at ``base + i m``.
+    """
+    k = spec.cores
+    nodes: list[NodeId] = [CoreNode(core=c) for c in range(1, k + 1)]
     strata: list[EdgeStratum] = []
+    base = k
     for p, (m, n) in enumerate(zip(spec.lengths, spec.counts), start=1):
-        head_edges = []
-        for i in range(1, n + 1):
-            head = node_index(spec, BranchNode(p, i, 1))
-            for c in range(1, spec.cores + 1):
-                core = node_index(spec, CoreNode(c))
-                head_edges.append((min(core, head), max(core, head)))
-        strata.append(EdgeStratum(branch_type=p, position=1, edges=tuple(head_edges)))
+        nodes.extend(
+            BranchNode(branch_type=p, instance=i, position=j)
+            for i in range(1, n + 1)
+            for j in range(1, m + 1)
+        )
+        heads = range(base, base + m * n, m)
+        core_links = tuple((c, head) for head in heads for c in range(k))
+        strata.append(EdgeStratum(branch_type=p, position=1, edges=core_links))
         for j in range(2, m + 1):
-            chain_edges = []
-            for i in range(1, n + 1):
-                a = node_index(spec, BranchNode(p, i, j - 1))
-                b = node_index(spec, BranchNode(p, i, j))
-                chain_edges.append((min(a, b), max(a, b)))
-            strata.append(EdgeStratum(branch_type=p, position=j, edges=tuple(chain_edges)))
+            links = tuple((head + j - 2, head + j - 1) for head in heads)
+            strata.append(EdgeStratum(branch_type=p, position=j, edges=links))
+        base += m * n
 
     edges = tuple(e for stratum in strata for e in stratum.edges)
     if len(edges) != spec.edge_count:
@@ -240,7 +244,7 @@ def build_network(spec: BranchSpec) -> StarNetwork:
 
     return StarNetwork(
         spec=spec,
-        nodes=nodes,
+        nodes=tuple(nodes),
         edges=edges,
         strata=tuple(strata),
         degrees=tuple(degrees),

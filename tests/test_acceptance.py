@@ -28,6 +28,7 @@ from starmix.spectral import (
     assemble_weight_matrix,
     block_decomposition,
     blocks_from_factors,
+    edge_form,
     interlacing_check,
     slem,
     spectrum_union,
@@ -354,9 +355,9 @@ def test_criterion_9_simulation_rate_law():
     traces = {}
     ok = True
     for scheme, builder in builders.items():
-        matrix = assemble_weight_matrix(network, builder())
-        rate = slem(matrix)
-        trace = run_trials(matrix, config)
+        weights = builder()
+        rate = slem(assemble_weight_matrix(network, weights))
+        trace = run_trials(edge_form(network, weights), config)
         traces[scheme] = np.array(trace.errors)
         fitted = trace.fitted_decay_rate()
         rel = abs(np.log(fitted) - np.log(rate)) / abs(np.log(rate))

@@ -242,6 +242,28 @@ class TestValidateCommand:
         assert names["rank_one_reconstruction"] == "pass"
         assert names["oracle_equivalence"] == "skip"
 
+    def test_spectrum_union_detail_names_the_bad_window(self, capsys, monkeypatch, spec_file):
+        code, out, _ = run_cli(capsys, ["validate", "--spec", spec_file, "--skip-optimizer"])
+        detail = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum_union"]["detail"]
+        assert detail.startswith("samples=5 windows=") and detail.endswith("worst_count_error=0")
+
+        import starmix.cli as cli_module
+
+        union = cli_module.spectrum_union
+
+        def shifted(decomp):
+            values = union(decomp)
+            values[0] += 1e-6
+            return values
+
+        monkeypatch.setattr(cli_module, "spectrum_union", shifted)
+        code, out, _ = run_cli(capsys, ["validate", "--spec", spec_file, "--skip-optimizer"])
+        assert code == EXIT_VALIDATION
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["spectrum_union"]
+        assert check["status"] == "fail"
+        assert "worst_count_error=1 first_bad=[1.00000099" in check["detail"]
+        assert check["detail"].endswith("counted=0 predicted=1")
+
     def test_interlacing_skipped_for_unit_counts(self, capsys, tmp_path):
         path = tmp_path / "unit.json"
         path.write_text(json.dumps({"m": [2, 1], "n": [1, 2], "K": 1}))

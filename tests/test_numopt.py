@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_spec, random_strata, specs_with_weights
+from dense_oracles import eigenvalue_gradients, stratum_basis_matrices
 from starmix import (
     BranchSpec,
     StratifiedWeights,
@@ -11,13 +12,7 @@ from starmix import (
     optimal_weights,
     solve_theta,
 )
-from starmix.numopt import (
-    OptimizationResult,
-    block_lmi,
-    eigenvalue_gradients,
-    optimize_weights,
-    stratum_basis_matrices,
-)
+from starmix.numopt import OptimizationResult, block_lmi, optimize_weights
 from starmix.spectral import assemble_weight_matrix, slem
 
 THREE_PATH = BranchSpec(lengths=(1,), counts=(2,), cores=1)

@@ -23,6 +23,8 @@ from starmix.spectral import (
     block_slem,
     block_spectrum,
     blocks_from_factors,
+    count_below,
+    edge_form,
     incidence_factors,
     interlacing_check,
     slem,
@@ -30,6 +32,7 @@ from starmix.spectral import (
     spectrum_union,
     stationary_vector,
     symmetric_eigenvalues,
+    union_count_check,
 )
 
 THREE_PATH = BranchSpec(lengths=(1,), counts=(2,), cores=1)
@@ -61,6 +64,67 @@ class TestAssembly:
         wrong = StratifiedWeights(scheme="x", strata=((0.5,), (0.5,), (0.5,)))
         with pytest.raises(ValueError):
             assemble_weight_matrix(network, wrong)
+
+
+class TestEdgeForm:
+    @settings(deadline=None)
+    @given(case=specs_with_weights())
+    def test_holds_the_dense_matrix(self, case):
+        spec, weights = case
+        network = build_network(spec)
+        form = edge_form(network, weights)
+        matrix = assemble_weight_matrix(network, weights)
+        upper = np.diag(matrix, 1).copy()
+        upper[: spec.cores] = 0.0
+        assert np.max(np.abs(form.diagonal - np.diag(matrix))) <= 1e-14
+        assert np.array_equal(form.chain, np.where(np.diag(matrix, 1) > 0, upper, 0.0))
+        assert form.pairs() == set(network.edges)
+        for heads, w in zip(form.head_slices, form.head_weights):
+            assert np.all(matrix[: spec.cores, heads] == w)
+
+
+class TestInertiaCount:
+    @settings(deadline=None)
+    @given(case=specs_with_weights(), probes=st.lists(st.floats(-1.5, 1.5), max_size=8))
+    def test_matches_dense_count(self, case, probes):
+        spec, weights = case
+        network = build_network(spec)
+        evals = np.linalg.eigvalsh(assemble_weight_matrix(network, weights))
+        # A probe within rounding of an eigenvalue has no well-defined count.
+        x = np.array([p for p in probes if np.min(np.abs(evals - p)) > 1e-9])
+        dense = np.count_nonzero(evals[None, :] < x[:, None], axis=1)
+        assert np.array_equal(count_below(edge_form(network, weights), x), dense)
+
+    @settings(deadline=None)
+    @given(case=specs_with_weights(), data=st.data())
+    def test_union_check_passes_and_catches_a_shift(self, case, data):
+        spec, weights = case
+        form = edge_form(build_network(spec), weights)
+        union = spectrum_union(block_decomposition(spec, weights))
+        report = union_count_check(form, union)
+        assert report.ok and report.first_bad is None
+        assert 1 <= report.windows <= len(union)
+        shifted = union.copy()
+        index = data.draw(st.integers(0, len(union) - 1))
+        shifted[index] += data.draw(st.sampled_from([1e-6, -1e-6]))
+        bad = union_count_check(form, shifted)
+        assert not bad.ok and bad.worst_error >= 1
+        lo, hi, counted, predicted = bad.first_bad
+        assert lo < hi and counted != predicted
+
+    def test_first_bad_window_names_the_shift(self):
+        spec = BranchSpec(lengths=(1,), counts=(2,), cores=1)
+        form = edge_form(build_network(spec), optimal_weights(spec))
+        report = union_count_check(form, [1.0, 0.5, -0.5 + 1e-6])
+        assert report.windows == 3 and report.worst_error == 1
+        lo, hi, counted, predicted = report.first_bad
+        assert lo == pytest.approx(-0.5 + 1e-6 - 1e-8) and hi == pytest.approx(-0.5 + 1e-6 + 1e-8)
+        assert (counted, predicted) == (0, 1)
+
+    def test_union_of_wrong_size_rejected(self):
+        form = edge_form(build_network(THREE_PATH), optimal_weights(THREE_PATH))
+        with pytest.raises(ValueError):
+            union_count_check(form, [1.0, 0.5])
 
 
 class TestEigenvalues:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_random_spec
+from conftest import branch_specs, make_random_spec
 from starmix import (
     BranchSpec,
     BranchNode,
@@ -97,6 +98,35 @@ def test_node_index_roundtrip(trial):
     spec = make_random_spec(rng, cores=int(rng.integers(1, 4)))
     for k in range(spec.node_count):
         assert node_index(spec, node_at(spec, k)) == k
+
+
+@settings(deadline=None)
+@given(spec=branch_specs())
+def test_build_matches_node_index_enumeration(spec):
+    # One node_at / node_index call per node and edge, as a reference for
+    # the arithmetic enumeration.
+    network = build_network(spec)
+    assert network.nodes == tuple(node_at(spec, k) for k in range(spec.node_count))
+    strata = []
+    for p, (m, n) in enumerate(zip(spec.lengths, spec.counts), start=1):
+        heads = [node_index(spec, BranchNode(p, i, 1)) for i in range(1, n + 1)]
+        cores = [node_index(spec, CoreNode(c)) for c in range(1, spec.cores + 1)]
+        strata.append((p, 1, tuple((c, h) for h in heads for c in cores)))
+        for j in range(2, m + 1):
+            links = tuple(
+                (node_index(spec, BranchNode(p, i, j - 1)), node_index(spec, BranchNode(p, i, j)))
+                for i in range(1, n + 1)
+            )
+            strata.append((p, j, links))
+    assert [(s.branch_type, s.position, s.edges) for s in network.strata] == strata
+    assert network.edges == tuple(e for _, _, edges in strata for e in edges)
+    degrees = [0] * spec.node_count
+    for u, v in network.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    assert network.degrees == tuple(degrees)
+    assert all(type(d) is int for d in network.degrees)
+    assert all(type(u) is int and type(v) is int for u, v in network.edges)
 
 
 def test_single_core_network_is_tree():
