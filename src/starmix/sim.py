@@ -1,7 +1,9 @@
 """Averaging-iteration simulator: x(t+1) = W x(t) over many random trials.
 
 ``W`` is applied through its O(n) edge form (:func:`starmix.spectral.edge_form`)
-as a banded stencil, never as an ``n x n`` matrix.  Each trial draws
+as one banded contraction per step, never as an ``n x n`` matrix, and what
+is stepped is the consensus deviation ``e(t) = x(t) - mean(x(0)) 1``, whose
+norm is the error itself (Xiao & Boyd 2004).  Each trial draws
 i.i.d. uniform [0, 1) initial node values from its own counter-based
 Philox substream, keyed by (seed, trial index) in disjoint 64-bit words,
 so traces are reproducible regardless of execution order and distinct
@@ -10,8 +12,7 @@ key set across nearby seeds and leave the trial mean seed-independent.)
 The streams are generated for many trials at once by a vectorized
 Philox4x64-10 kernel, bit-identical to ``np.random.Philox`` with the same
 key.  The reported trace is the per-iteration mean over trials of the
-normalized consensus error
-``||x(t) - mean(x(0)) 1|| / ||x(0) - mean(x(0)) 1||``.
+normalized consensus error ``||e(t)|| / ||e(0)||``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import EdgeForm
 
@@ -63,7 +65,7 @@ class ConvergenceTrace:
         """Asymptotic per-step decay from a log-linear fit over the trailing window.
 
         Points at or below ``floor`` are dropped: once the error reaches the
-        double-precision consensus residual it stops decaying and would bias
+        double-precision rounding floor it stops decaying and would bias
         the slope.  Falls back to every usable point when the window keeps
         fewer than two.
         """
@@ -125,17 +127,17 @@ def _philox_uniform(seed_word: int, trials: np.ndarray, n: int, offset: int) -> 
     return (words[:, skip : skip + n] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _initial_states(n: int, config: SimulationConfig) -> np.ndarray:
-    """Column-per-trial initial values; trials with no consensus deviation are redrawn.
+def _initial_states(states: np.ndarray, seed: int) -> np.ndarray:
+    """Fills the ``(n, trials)`` ``states`` with one trial's initial values per column.
 
-    A redrawn trial continues its own stream: draw ``k`` is outputs
-    ``k n .. k n + n - 1``.
+    Trials with no consensus deviation are redrawn; a redrawn trial
+    continues its own stream: draw ``k`` is outputs ``k n .. k n + n - 1``.
     """
-    states = np.empty((n, config.trials))
-    seed_word = config.seed & _SEED_MASK
+    n, count = states.shape
+    seed_word = seed & _SEED_MASK
     chunk = max(1, _CHUNK_BLOCKS // ((n + 3) // 4 + 1))
-    for start in range(0, config.trials, chunk):
-        trials = np.arange(start, min(start + chunk, config.trials), dtype=np.uint64)
+    for start in range(0, count, chunk):
+        trials = np.arange(start, min(start + chunk, count), dtype=np.uint64)
         x = _philox_uniform(seed_word, trials, n, 0)
         draw = 0
         flat = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1) < 1e-12
@@ -149,36 +151,29 @@ def _initial_states(n: int, config: SimulationConfig) -> np.ndarray:
     return states
 
 
-def _deviation_norms(states: np.ndarray, targets: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-column ``||x - mean||``, with ``out`` holding the deviations."""
-    np.subtract(states, targets, out=out)
-    return np.sqrt(np.einsum("ij,ij->j", out, out))
-
-
 def run_trials(
     form: EdgeForm, config: SimulationConfig, *, keep_trials: bool = False
 ) -> ConvergenceTrace:
     """Mean normalized-error trace of the averaging iteration.
 
     Deterministic given the config seed.  All trials advance in lockstep as
-    the columns of one ``(n, trials)`` array, stepped by the edge form's
-    banded stencil; three such arrays are kept, the step scratch doubling
-    as the deviation buffer.  The mean over trials is a fixed-order
-    pairwise reduction, so results do not depend on scheduling.
+    the columns of the deviation ``e``; rows of ``W`` sum to one, so ``W e =
+    W x - mean(x(0)) 1``.  Two zero-padded ``(n + 2, trials)`` buffers
+    alternate under :meth:`EdgeForm.step`.  The mean over trials is a
+    fixed-order pairwise reduction, so results do not depend on scheduling.
     ``keep_trials`` additionally records every trial's own error trace.
     """
-    states = _initial_states(len(form), config)
-    nxt = np.empty_like(states)
-    scratch = np.empty_like(states)
-    targets = states.mean(axis=0)
-    scale = _deviation_norms(states, targets, scratch)
+    padded = np.zeros((2, len(form) + 2, config.trials))
+    windows, deviations = sliding_window_view(padded, 3, axis=1), padded[:, 1:-1]
+    _initial_states(deviations[0], config.seed)
+    deviations[0] -= deviations[0].mean(axis=0)
+    scale = np.sqrt(np.einsum("ij,ij->j", deviations[0], deviations[0]))
 
     errors = [1.0]
     per_trial = [np.ones(config.trials)] if keep_trials else None
-    for _ in range(config.iterations):
-        form.apply(states, out=nxt, scratch=scratch)
-        states, nxt = nxt, states
-        normalized = _deviation_norms(states, targets, scratch) / scale
+    for t in range(config.iterations):
+        e = form.step(windows[t % 2], out=deviations[(t + 1) % 2])
+        normalized = np.sqrt(np.einsum("ij,ij->j", e, e)) / scale
         errors.append(float(np.mean(normalized)))
         if per_trial is not None:
             per_trial.append(normalized)

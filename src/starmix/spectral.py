@@ -5,7 +5,7 @@ non-zeros, and :func:`edge_form` holds exactly those: the diagonal, the
 chain weights on the superdiagonal (cores come first and each branch is a
 contiguous path in node order), and one head weight per branch type, the
 weight of every core-to-head edge of that type.  The simulator applies
-``W`` through :meth:`EdgeForm.apply`, a banded stencil, and
+``W`` through :meth:`EdgeForm.step`, one band contraction, and
 :func:`count_below` counts the eigenvalues of ``W`` below any probe by
 Sylvester's law of inertia, eliminating each path from its tip to its head
 and folding the heads into the core Schur complement (Jacobs & Trevisan
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .topology import BranchSpec, StarNetwork
 
@@ -75,56 +76,60 @@ def assemble_weight_matrix(network: StarNetwork, weights: StratifiedWeights) -> 
 class EdgeForm:
     """The non-zeros of the averaging matrix ``W``, in node order.
 
-    ``chain[k]`` is the weight of edge ``(k, k + 1)`` when both nodes lie on
-    one branch, else 0.  The heads of branch type ``p`` are the strided
-    slice ``head_slices[p]`` (``base : base + m n : m``), each joined to all
-    ``cores`` core nodes with weight ``head_weights[p]``.  Each diagonal
-    entry is one minus its off-diagonal row sum.  ``len(form)`` is the node
-    count.
+    Row ``i`` of the read-only ``(n, 3)`` ``band`` is ``[chain[i - 1],
+    diagonal[i], chain[i]]``, zero past either end, where ``chain[k]`` is the
+    weight of edge ``(k, k + 1)`` when both nodes lie on one branch, else 0.
+    The heads of branch type ``p`` are the strided slice ``head_slices[p]``
+    (``base : base + m n : m``), each joined to all ``cores`` core nodes with
+    weight ``head_weights[p]``.  Each diagonal entry is one minus its
+    off-diagonal row sum.  ``len(form)`` is the node count.
     """
 
     cores: int
-    diagonal: np.ndarray
-    chain: np.ndarray
+    band: np.ndarray
     head_slices: tuple[slice, ...]
     head_weights: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.diagonal)
+        return len(self.band)
 
-    def apply(
-        self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``W @ x`` for a vector or an ``(n, columns)`` array, as a banded stencil.
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``W @ x`` for a vector or an ``(n, columns)`` array, into ``out`` if given.
 
-        ``out`` and ``scratch`` (same shape as ``x``, neither aliasing it)
-        are reused when given; ``scratch`` is overwritten.
+        ``x`` is copied into a zero-padded buffer for :meth:`step`; ``out``
+        must not share memory with ``x``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[0] != len(self):
             raise ValueError(f"state dimension {x.shape[0]} does not match form {len(self)}")
-        if x.ndim == 1:
-            return self.apply(x[:, None])[:, 0]
-        out = np.empty_like(x) if out is None else out
-        scratch = np.empty_like(x) if scratch is None else scratch
-        chain = self.chain[:, None]
-        np.multiply(self.diagonal[:, None], x, out=out)
-        np.multiply(chain, x[1:], out=scratch[:-1])
-        out[:-1] += scratch[:-1]
-        np.multiply(chain, x[:-1], out=scratch[1:])
-        out[1:] += scratch[1:]
-        k = self.cores
-        core_total = x[:k].sum(axis=0)
-        core_in = np.zeros(x.shape[1])
+        if out is not None and np.may_share_memory(x, out):
+            raise ValueError("out must not share memory with x")
+        padded = np.zeros((len(self) + 2,) + x.shape[1:])
+        padded[1:-1] = x
+        window = sliding_window_view(padded, 3, axis=0)
+        return self.step(window, np.empty(x.shape) if out is None else out)
+
+    def step(self, window: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``W @ x`` into ``out``, given ``sliding_window_view(p, 3, axis=0)``.
+
+        ``p`` holds ``x`` in rows ``1 .. n`` and zeros in its first and last
+        rows, so one contraction with ``band`` gives the tridiagonal part.
+        """
+        if np.may_share_memory(window, out):
+            raise ValueError("out must not share memory with the state")
+        np.einsum("i...k,ik->i...", window, self.band, out=out)
+        x = window[..., 1]
+        core_total = x[: self.cores].sum(axis=0)
+        core_in = 0.0
         for heads, w in zip(self.head_slices, self.head_weights):
             out[heads] += w * core_total
-            core_in += w * x[heads].sum(axis=0)
-        out[:k] += core_in
+            core_in = core_in + w * x[heads].sum(axis=0)
+        out[: self.cores] += core_in
         return out
 
     def pairs(self) -> set[tuple[int, int]]:
         """Node pairs ``(u, v)``, ``u < v``, that the form joins by an edge."""
-        found = {(int(k), int(k) + 1) for k in np.flatnonzero(self.chain)}
+        found = {(int(k), int(k) + 1) for k in np.flatnonzero(self.band[:, 2])}
         for heads in self.head_slices:
             found.update((c, h) for h in range(len(self))[heads] for c in range(self.cores))
         return found
@@ -135,8 +140,8 @@ def edge_form(network: StarNetwork, weights: StratifiedWeights) -> EdgeForm:
     spec = network.spec
     _check_strata_shape(spec, weights)
     n, k = spec.node_count, spec.cores
-    diagonal = np.empty(n)
-    chain = np.zeros(n - 1)
+    band = np.zeros((n, 3))
+    diagonal, chain = band[:, 1], band[:-1, 2]
     head_slices = []
     base = k
     for m, count, row in zip(spec.lengths, spec.counts, weights.strata):
@@ -152,12 +157,11 @@ def edge_form(network: StarNetwork, weights: StratifiedWeights) -> EdgeForm:
         head_slices.append(slice(base, stop, m))
         base = stop
     diagonal[:k] = 1.0 - sum(count * row[0] for count, row in zip(spec.counts, weights.strata))
-    diagonal.setflags(write=False)
-    chain.setflags(write=False)
+    band[1:, 0] = chain
+    band.setflags(write=False)
     return EdgeForm(
         cores=k,
-        diagonal=diagonal,
-        chain=chain,
+        band=band,
         head_slices=tuple(head_slices),
         head_weights=tuple(float(row[0]) for row in weights.strata),
     )
@@ -316,16 +320,16 @@ def count_below(form: EdgeForm, probes) -> np.ndarray:
         length = heads.step
         for j in reversed(range(length)):
             nodes = slice(heads.start + j, heads.stop, length)
-            a = form.diagonal[nodes][:, None] - x
+            a = form.band[nodes, 1][:, None] - x
             if pivot is not None:
-                a -= form.chain[nodes][:, None] ** 2 / pivot
+                a -= form.band[nodes, 2][:, None] ** 2 / pivot
             pivot = _pivot(a)
             count += np.count_nonzero(pivot < 0.0, axis=0)
         fold += w * w * (1.0 / pivot).sum(axis=0)
     # Core block diag(d - x) - fold 1 1^T: eliminating one core leaves the
     # same shape with sigma -> sigma (d - x) / pivot.
     sigma = -fold
-    for d in form.diagonal[: form.cores]:
+    for d in form.band[: form.cores, 1]:
         pivot = _pivot(d - x + sigma)
         count += pivot < 0.0
         sigma = sigma * (d - x) / pivot

@@ -4,12 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import specs_with_weights
-from starmix import BranchSpec, build_network, optimal_weights
+from dense_oracles import dense_trace, philox_states
+from starmix import (
+    BranchSpec,
+    best_constant_weights,
+    build_network,
+    max_degree_weights,
+    metropolis_weights,
+    optimal_weights,
+)
 from starmix import sim
 from starmix.sim import ConvergenceTrace, SimulationConfig, run_trials
 from starmix.spectral import assemble_weight_matrix, edge_form, slem
 
 THREE_PATH = BranchSpec(lengths=(1,), counts=(2,), cores=1)
+SEVEN_NODES = BranchSpec(lengths=(1, 2), counts=(2, 2), cores=1)
+COMPARISON = BranchSpec(lengths=(1, 2, 3), counts=(4, 3, 2), cores=1)
+SCHEMES = {
+    "optimal": lambda network: optimal_weights(network.spec),
+    "metropolis": metropolis_weights,
+    "max_degree": max_degree_weights,
+    "best_constant": best_constant_weights,
+}
+
+
+def assert_trace_matches_oracle(network, weights, config):
+    """Entries of at least 1e-8 agree with the dense oracle to 1e-9 relative."""
+    trace = np.array(run_trials(edge_form(network, weights), config).errors)
+    oracle = dense_trace(network, weights, config)
+    kept = oracle >= 1e-8
+    assert np.all(np.abs(trace[kept] - oracle[kept]) <= 1e-9 * oracle[kept])
 
 
 def three_path_form():
@@ -20,19 +44,6 @@ def three_path_form():
 def three_path_matrix():
     network = build_network(THREE_PATH)
     return assemble_weight_matrix(network, optimal_weights(THREE_PATH))
-
-
-def philox_states(n: int, config: SimulationConfig) -> np.ndarray:
-    """Per-trial ``np.random.Philox`` loop: the reference for the vectorized kernel."""
-    states = np.empty((n, config.trials))
-    seed_word = config.seed & ((1 << 64) - 1)
-    for trial in range(config.trials):
-        rng = np.random.Generator(np.random.Philox(key=(seed_word << 64) | trial))
-        x = rng.random(n)
-        while np.linalg.norm(x - x.mean()) < 1e-12:
-            x = rng.random(n)
-        states[:, trial] = x
-    return states
 
 
 class TestConsensusStep:
@@ -69,9 +80,30 @@ class TestConsensusStep:
         dense = assemble_weight_matrix(network, weights) @ x
         assert len(form) == network.node_count
         assert np.max(np.abs(form.apply(x) - dense)) <= 1e-14 * max(1.0, np.abs(dense).max())
-        out, scratch = np.empty_like(x), np.empty_like(x)
-        assert form.apply(x, out=out, scratch=scratch) is out
+        out = np.empty_like(x)
+        assert form.apply(x, out=out) is out
         assert np.array_equal(out, form.apply(x))
+
+    def test_vector_written_into_out(self):
+        network = build_network(SEVEN_NODES)
+        weights = optimal_weights(SEVEN_NODES)
+        x = np.random.default_rng(2).random(network.node_count)
+        out = np.full(network.node_count, np.nan)
+        assert edge_form(network, weights).apply(x, out=out) is out
+        dense = assemble_weight_matrix(network, weights) @ x
+        assert np.max(np.abs(out - dense)) <= 1e-15
+
+    def test_out_sharing_memory_rejected(self):
+        form = edge_form(build_network(SEVEN_NODES), optimal_weights(SEVEN_NODES))
+        x = np.random.default_rng(3).random((len(form), 4))
+        for out in (x, x[::-1], x[:, ::-1]):
+            with pytest.raises(ValueError, match="share memory"):
+                form.apply(x, out=out)
+        padded = np.zeros((len(form) + 2, 4))
+        padded[1:-1] = x
+        window = np.lib.stride_tricks.sliding_window_view(padded, 3, axis=0)
+        with pytest.raises(ValueError, match="share memory"):
+            form.step(window, out=padded[1:-1])
 
 
 class TestInitialStates:
@@ -80,7 +112,8 @@ class TestInitialStates:
     def test_bitwise_equal_to_per_trial_philox(self, n, seed):
         # Enough trials to span several chunks at n = 17 and n = 1401.
         config = SimulationConfig(trials=25 if n > 100 else 700, iterations=0, seed=seed)
-        assert np.array_equal(sim._initial_states(n, config), philox_states(n, config))
+        states = sim._initial_states(np.empty((n, config.trials)), config.seed)
+        assert np.array_equal(states, philox_states(n, config))
 
     @settings(deadline=None)
     @given(n=st.integers(1, 23), offset=st.integers(0, 70), seed=st.integers(-(2**64), 2**65))
@@ -105,7 +138,7 @@ class TestInitialStates:
             return draws
 
         monkeypatch.setattr(sim, "_philox_uniform", flat_first_draw)
-        states = sim._initial_states(n, config)
+        states = sim._initial_states(np.empty((n, config.trials)), config.seed)
         expected = philox_states(n, config)
         rng = np.random.Generator(np.random.Philox(key=(11 << 64) | 3))
         expected[:, 3] = rng.random(2 * n)[n:]
@@ -149,6 +182,43 @@ class TestRunTrials:
         for _ in range(120):
             states = form.apply(states)
         assert np.max(np.abs(states.mean(axis=0) - start_means)) <= 1e-10
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        case=specs_with_weights(),
+        trials=st.integers(1, 6),
+        iterations=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_dense_oracle(self, case, trials, iterations, seed):
+        spec, weights = case
+        config = SimulationConfig(trials=trials, iterations=iterations, seed=seed)
+        assert_trace_matches_oracle(build_network(spec), weights, config)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "spec, iterations",
+        [
+            (BranchSpec(lengths=(1,), counts=(1,), cores=1), 40),
+            (BranchSpec(lengths=(1000,), counts=(3,), cores=1), 20),
+            (COMPARISON, 300),
+        ],
+        ids=["two-node", "long-branch", "comparison"],
+    )
+    def test_schemes_match_dense_oracle(self, spec, iterations, scheme):
+        network = build_network(spec)
+        config = SimulationConfig(trials=4, iterations=iterations, seed=17)
+        assert_trace_matches_oracle(network, SCHEMES[scheme](network), config)
+
+    def test_optimal_trace_reaches_rounding_floor(self):
+        # The deviation is stepped itself, so nothing holds the error at the
+        # consensus value's rounding (about 3e-15): it falls monotonically to
+        # its own floor.
+        network = build_network(COMPARISON)
+        form = edge_form(network, optimal_weights(COMPARISON))
+        errors = run_trials(form, SimulationConfig(trials=1000, iterations=500, seed=0)).errors
+        assert np.all(np.diff(errors) <= 0.0)
+        assert errors[-1] < 1e-15
 
     def test_rate_law_on_three_path(self):
         rate = slem(three_path_matrix())

@@ -76,8 +76,11 @@ class TestEdgeForm:
         matrix = assemble_weight_matrix(network, weights)
         upper = np.diag(matrix, 1).copy()
         upper[: spec.cores] = 0.0
-        assert np.max(np.abs(form.diagonal - np.diag(matrix))) <= 1e-14
-        assert np.array_equal(form.chain, np.where(np.diag(matrix, 1) > 0, upper, 0.0))
+        assert np.max(np.abs(form.band[:, 1] - np.diag(matrix))) <= 1e-14
+        chain = np.where(np.diag(matrix, 1) > 0, upper, 0.0)
+        assert np.array_equal(form.band[:-1, 2], chain)
+        assert np.array_equal(form.band[1:, 0], chain)
+        assert form.band[0, 0] == form.band[-1, 2] == 0.0
         assert form.pairs() == set(network.edges)
         for heads, w in zip(form.head_slices, form.head_weights):
             assert np.all(matrix[: spec.cores, heads] == w)
