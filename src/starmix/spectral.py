@@ -393,11 +393,13 @@ class InterlacingReport:
 
     ``violations`` lists (index, gap) pairs where the interlacing inequality
     failed beyond tolerance.  ``moduli_spread`` is the largest pairwise gap
-    between the absolute values of the three quantities that tie at the
-    optimal weights: the reduced block's top eigenvalue, the core block's
-    second eigenvalue, and the core minimum.  Absolute values matter: when
-    the core block is 2x2 (single length-1 branch type) its second
-    eigenvalue IS its minimum, so the tie holds in modulus only.
+    between the absolute values of the quantities that tie at the optimal
+    weights: the reduced block's top eigenvalue and the core minimum, plus,
+    with two or more branch types, the core block's second eigenvalue.  With
+    one branch type that eigenvalue is no part of the tie: it falls strictly
+    inside (the top of the tie lives in the branch-block copies), or, when
+    the core block is 2x2 (one length-1 branch type), it IS the minimum.
+    Absolute values matter: the minimum ties in modulus only.
     """
 
     ok: bool
@@ -405,10 +407,13 @@ class InterlacingReport:
     reduced_top: float
     core_second: float
     core_lowest: float
+    branch_types: int
 
     @property
     def moduli_spread(self) -> float:
-        vals = (abs(self.reduced_top), abs(self.core_second), abs(self.core_lowest))
+        vals = (abs(self.reduced_top), abs(self.core_lowest))
+        if self.branch_types >= 2:
+            vals += (abs(self.core_second),)
         return max(vals) - min(vals)
 
 
@@ -437,6 +442,7 @@ def interlacing_check(decomp: BlockDecomposition, *, tol: float = 1e-10) -> Inte
         reduced_top=float(reduced[0]),
         core_second=float(core[1]),
         core_lowest=float(core[-1]),
+        branch_types=decomp.spec.branch_types,
     )
 
 

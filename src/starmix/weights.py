@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,147 +115,131 @@ def characteristic_det_reduced(
     return float(total)
 
 
-def _gap_poles(spec: BranchSpec) -> list[float]:
-    """Poles in (0, pi] of the tangent-form gap function, analytically enumerated."""
-    poles = {math.pi}
-    for m in spec.lengths:
-        for k in range(m):
-            poles.add((2 * k + 1) * math.pi / (2 * m))
-    return sorted(poles)
+def _root_condition(spec: BranchSpec, theta: float) -> tuple[float, float]:
+    """``S(theta) = sum_p (n_p / 2K) tan(m_p theta) tan(theta/2)`` and its slope.
 
-
-def _tan_gap(spec: BranchSpec, theta: np.ndarray) -> np.ndarray:
-    """Vectorized root-condition gap: sum_p (n_p / 2K) tan(m_p theta) tan(theta/2) - 1.
-
-    Shares its roots with the characteristic determinant away from poles and
-    is monotone-friendly for scanning: it diverges at the enumerated poles
-    instead of blowing up the determinant's cotangents.
+    The characteristic determinant equals ``prod_p c_p * (1 - S)`` with the
+    couplings ``c_p`` of :func:`characteristic_det`, so its roots are those
+    of ``S = 1`` wherever every ``c_p`` is finite and non-zero.
     """
-    th = np.asarray(theta, dtype=float)
-    half = np.tan(th / 2.0)
-    total = np.full_like(th, -1.0)
+    half = math.tan(0.5 * theta)
+    total = 0.0
+    slope = 0.0
     for m, n in zip(spec.lengths, spec.counts):
-        total = total + (n / (2.0 * spec.cores)) * np.tan(m * th) * half
-    return total
+        t = math.tan(m * theta)
+        total += n * t
+        slope += n * (m * (1.0 + t * t) * half + 0.5 * t * (1.0 + half * half))
+    scale = 0.5 / spec.cores
+    return scale * total * half, scale * slope
 
 
 @dataclass(frozen=True)
 class ThetaSolution:
     """Smallest root of the characteristic determinant and the rate it encodes.
 
-    ``slem`` is ``cos(theta)``.  ``residual`` is the absolute characteristic
-    determinant at ``theta``; ``residual_relative`` rescales it by the local
-    determinant slope, approximating the distance to the true root.
+    ``theta`` is the root, ``slem`` is ``cos(theta)`` and ``bracket`` the
+    final interval of the solve, whose ends straddle the root (both equal
+    ``theta`` when the root condition ``S(theta) = 1`` held exactly).
+    ``residual`` is the absolute characteristic determinant at ``theta`` and
+    ``residual_relative`` rescales it by the determinant's central-difference
+    slope, approximating the distance to the true root.  Both evaluate the
+    direct determinant, which the solve never touches, on first access only.
     """
 
+    spec: BranchSpec
     theta: float
     slem: float
-    residual: float
-    residual_relative: float
     bracket: tuple[float, float]
 
+    @cached_property
+    def residual(self) -> float:
+        return abs(characteristic_det(self.spec, self.theta))
 
-def _bisect_gap(
-    spec: BranchSpec, lo: float, hi: float, g_lo: float, g_hi: float
-) -> tuple[float, tuple[float, float]]:
-    if g_lo == 0.0:
-        return lo, (lo, lo)
-    if g_hi == 0.0:
-        return hi, (hi, hi)
-    a, b, fa = lo, hi, g_lo
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = float(_tan_gap(spec, np.array(mid)))
-        if fm == 0.0:
-            return mid, (mid, mid)
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-14:
-            break
-    return 0.5 * (a + b), (a, b)
-
-
-def _det_pole_distance(spec: BranchSpec, theta: float) -> float:
-    """Distance from theta to the nearest cotangent pole of the determinant."""
-    dist = min(theta, math.pi - theta)
-    for m in spec.lengths:
-        k = round(m * theta / math.pi)
-        dist = min(dist, abs(theta - k * math.pi / m))
-    return dist
-
-
-def solve_theta(spec: BranchSpec, *, grid_factor: int = 4096) -> ThetaSolution:
-    """Locate the smallest root of the characteristic determinant in (0, pi).
-
-    Scans the tangent-form gap on a uniform grid of ``grid_factor *
-    max(lengths)`` points per unit interval, split at the analytically
-    enumerated poles so every candidate bracket is pole-free, then bisects
-    the first sign change.  The returned residual is evaluated with the
-    direct determinant so the two formulations check each other.
-    """
-    max_m = max(spec.lengths)
-    step = math.pi / (grid_factor * max_m)
-    segment_lo = 0.0
-    for pole in _gap_poles(spec):
-        inset = max((pole - segment_lo) * 1e-12, 1e-13)
-        a, b = segment_lo + inset, pole - inset
-        segment_lo = pole
-        if b <= a:
-            continue
-        count = max(2, int(math.ceil((b - a) / step)) + 1)
-        xs = np.linspace(a, b, count)
-        gs = _tan_gap(spec, xs)
-        signs = np.sign(gs)
-        flips = np.nonzero((signs[:-1] * signs[1:]) <= 0.0)[0]
-        if flips.size == 0:
-            continue
-        k = int(flips[0])
-        theta, bracket = _bisect_gap(spec, float(xs[k]), float(xs[k + 1]), float(gs[k]), float(gs[k + 1]))
-
-        residual = abs(characteristic_det(spec, theta))
-        h = min(1e-7, _det_pole_distance(spec, theta) / 8.0)
+    @cached_property
+    def residual_relative(self) -> float:
+        # Every cotangent pole of the determinant is at least theta away,
+        # because theta < pi / (2 max m).
+        h = min(1e-7, self.theta / 8.0)
         slope = abs(
-            characteristic_det(spec, theta + h) - characteristic_det(spec, theta - h)
+            characteristic_det(self.spec, self.theta + h)
+            - characteristic_det(self.spec, self.theta - h)
         ) / (2.0 * h)
-        relative = residual / max(slope, 1e-300)
-        return ThetaSolution(
-            theta=theta,
-            slem=math.cos(theta),
-            residual=residual,
-            residual_relative=relative,
-            bracket=bracket,
-        )
-    raise SolverError(
-        f"no sign change of the root-condition gap in (0, pi) for {spec.to_dict()}"
-    )
+        return self.residual / max(slope, 1e-300)
+
+
+def solve_theta(spec: BranchSpec) -> ThetaSolution:
+    """Smallest root of the characteristic determinant in (0, pi).
+
+    On ``(0, pi / (2 M))``, ``M = max(lengths)``, every ``tan(m_p theta)``
+    and ``tan(theta/2)`` is positive and increasing, so the root condition
+    ``S(theta) = sum_p (n_p / 2K) tan(m_p theta) tan(theta/2)`` rises
+    strictly from 0 to infinity and meets ``S = 1`` exactly once.  Every
+    coupling ``c_p = (2K/n_p) cot(m_p theta) cot(theta/2)`` is positive
+    there, and the determinant is ``prod_p c_p * (1 - S)``, so that one
+    crossing is also the determinant's smallest root: the solve needs no
+    scan.
+
+    Newton runs on ``log S`` in the coordinate ``psi = log tan(M theta)``,
+    in which ``log S`` is asymptotically linear at both ends of the
+    interval, and the step maps back to ``theta`` through the arctangent
+    difference formula, which keeps every step inside the interval and
+    exact to rounding.  Each evaluation shrinks the bracket; a step that
+    leaves it bisects instead, and a step below one ulp moves one ulp
+    towards the root, so the solve stops once the bracket spans one ulp.
+    The residuals of :class:`ThetaSolution` are computed on demand.
+    """
+    top = max(spec.lengths)
+    lo, hi = 0.0, math.pi / (2 * top)
+    theta = 0.5 * hi
+    for _ in range(100):
+        s, slope = _root_condition(spec, theta)
+        if s == 1.0:
+            lo = hi = theta
+        elif s < 1.0:
+            lo = theta
+        else:
+            hi = theta
+        if hi - lo <= math.ulp(hi):
+            return ThetaSolution(
+                spec=spec, theta=theta, slem=math.cos(theta), bracket=(lo, hi)
+            )
+        # One Newton step on log S in psi: d theta / d psi = t / (M (1 + t^2)).
+        t = math.tan(top * theta)
+        dpsi = -math.log(s) * s * top * (1.0 + t * t) / (slope * t)
+        step = math.atan(t * math.expm1(dpsi) / (1.0 + t * t * math.exp(dpsi))) / top
+        if abs(step) < math.ulp(theta):
+            step = math.copysign(math.ulp(theta), 1.0 - s)
+        theta += step
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    raise SolverError(f"theta solve did not converge for {spec.to_dict()}")
 
 
 def optimal_weights(spec: BranchSpec, solution: ThetaSolution | None = None) -> StratifiedWeights:
     """Rate-optimal stratified weights for a branch specification.
 
     The core-to-head weight of branch type ``p`` is
+    ``sin(theta/2) sin(m_p theta) / cos((m_p - 1/2) theta)`` divided by the
+    core count; every weight deeper into a branch is exactly 1/2.  This is
     ``(1 - cos(theta)) sin(m_p theta) / (sin(m_p theta) - sin((m_p - 1) theta))``
-    divided by the core count; every weight deeper into a branch is exactly
-    1/2.  For ``m_p == 1`` the ratio collapses to 1 and the head weight is
-    ``(1 - cos(theta)) / K``.
+    without the cancellation in either difference, which costs digits once
+    ``theta`` is small.  For ``m_p == 1`` it is ``(1 - cos(theta)) / K``.
+    Below ``pi / (2 max m)``, where :func:`solve_theta` finds ``theta``,
+    every cosine is positive.
     """
     if solution is None:
         solution = solve_theta(spec)
     theta = solution.theta
-    rise = 1.0 - solution.slem
+    half_sine = math.sin(0.5 * theta)
     rows = []
-    for m, n in zip(spec.lengths, spec.counts):
-        numer = math.sin(m * theta)
-        denom = numer - math.sin((m - 1) * theta)
-        if abs(denom) < 1e-12:
+    for m in spec.lengths:
+        cosine = math.cos((m - 0.5) * theta)
+        if cosine <= 0.0:
             raise SolverError(
-                f"degenerate head-weight denominator for branch length {m} at theta={theta}"
+                f"head-weight cosine cos((m - 1/2) theta) = {cosine} is not positive "
+                f"for branch length {m} at theta={theta}"
             )
-        w1 = rise * numer / denom / spec.cores
+        w1 = half_sine * math.sin(m * theta) / cosine / spec.cores
         if not 0.0 < w1 < 1.0:
             raise SolverError(f"head weight {w1} outside (0, 1) for branch length {m}")
         rows.append((w1,) + (0.5,) * (m - 1))

@@ -1,13 +1,17 @@
-"""Dense ``n x n`` oracles that only the tests use.
+"""Dense ``n x n`` oracles and brute-force solvers that only the tests use.
 
 The library never forms these matrices: the optimizer works on the stacked
 symmetry blocks (:func:`starmix.numopt.block_lmi`) and the simulator on the
 edge form.  These per-edge constructions are what the tests hold both to.
+Likewise :func:`grid_theta` scans for the characteristic root that
+:func:`starmix.solve_theta` finds on its one pole-free bracket.
 """
+
+import math
 
 import numpy as np
 
-from starmix import StarNetwork, StratifiedWeights
+from starmix import BranchSpec, StarNetwork, StratifiedWeights
 from starmix.sim import SimulationConfig
 from starmix.spectral import assemble_weight_matrix
 
@@ -95,3 +99,57 @@ def dense_trace(
         e = matrix @ e
         errors.append(float(np.mean(np.linalg.norm(e, axis=0) / scale)))
     return np.array(errors)
+
+
+def _tan_gap(spec: BranchSpec, theta: np.ndarray) -> np.ndarray:
+    """Root-condition gap ``sum_p (n_p / 2K) tan(m_p theta) tan(theta/2) - 1``."""
+    half = np.tan(theta / 2.0)
+    total = np.full_like(theta, -1.0)
+    for m, n in zip(spec.lengths, spec.counts):
+        total = total + (n / (2.0 * spec.cores)) * np.tan(m * theta) * half
+    return total
+
+
+def grid_theta(spec: BranchSpec) -> float:
+    """First sign change of the tangent-form gap in (0, pi), by scan and bisection.
+
+    Scans a uniform grid of step ``pi / (4096 max(lengths))`` between the
+    gap's poles ``(2k + 1) pi / (2 m)`` and ``pi``, then bisects the first
+    bracketing pair down to an absolute width of 1e-14.  It assumes
+    nothing about where the root lies, at a cost that grows with the length.
+    """
+    poles = sorted(
+        {math.pi} | {(2 * k + 1) * math.pi / (2 * m) for m in spec.lengths for k in range(m)}
+    )
+    step = math.pi / (4096 * max(spec.lengths))
+    segment_lo = 0.0
+    for pole in poles:
+        inset = max((pole - segment_lo) * 1e-12, 1e-13)
+        a, b = segment_lo + inset, pole - inset
+        segment_lo = pole
+        if b <= a:
+            continue
+        xs = np.linspace(a, b, max(2, int(math.ceil((b - a) / step)) + 1))
+        gs = _tan_gap(spec, xs)
+        flips = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) <= 0.0)[0]
+        if flips.size == 0:
+            continue
+        k = int(flips[0])
+        lo, hi, g_lo = float(xs[k]), float(xs[k + 1]), float(gs[k])
+        if g_lo == 0.0:
+            return lo
+        if gs[k + 1] == 0.0:
+            return hi
+        while hi - lo >= 1e-14:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            g_mid = float(_tan_gap(spec, np.array(mid)))
+            if g_mid == 0.0:
+                return mid
+            if (g_lo < 0.0) != (g_mid < 0.0):
+                hi = mid
+            else:
+                lo, g_lo = mid, g_mid
+        return 0.5 * (lo + hi)
+    raise ValueError(f"no sign change of the root-condition gap for {spec.to_dict()}")

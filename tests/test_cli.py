@@ -275,6 +275,19 @@ class TestValidateCommand:
         assert checks["interlacing"]["status"] == "skip"
         assert ">= 2" in checks["interlacing"]["detail"]
 
+    @pytest.mark.parametrize("length", [2, 50])
+    def test_interlacing_passes_for_one_branch_type(self, capsys, tmp_path, length):
+        # With one branch type the core block's second eigenvalue is not
+        # part of the moduli tie, so only |reduced_top| and |core_lowest| count.
+        path = tmp_path / "one_type.json"
+        path.write_text(json.dumps({"m": [length], "n": [3], "K": 1}))
+        code, out, _ = run_cli(
+            capsys, ["validate", "--spec", str(path), "--skip-optimizer"]
+        )
+        assert code == EXIT_OK
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["interlacing"]["status"] == "pass", checks["interlacing"]
+
     def test_block_checks_run_for_three_cores(self, capsys, tmp_path):
         path = tmp_path / "three_cores.json"
         path.write_text(json.dumps({"m": [2, 3, 4], "n": [3, 2, 2], "K": 3}))

@@ -306,6 +306,7 @@ class TestInterlacing:
         assert report.reduced_top == pytest.approx(solution.slem, abs=1e-10)
         assert report.core_lowest == pytest.approx(-solution.slem, abs=1e-10)
         assert abs(report.core_second) < solution.slem - 1e-3
+        assert report.moduli_spread <= 1e-12
 
     def test_tie_generally_fails_for_random_weights(self):
         rng = np.random.default_rng(99)

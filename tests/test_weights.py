@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import branch_specs, make_random_spec
+from dense_oracles import grid_theta
 from starmix import (
     BranchSpec,
     EvaluationError,
@@ -12,6 +14,7 @@ from starmix import (
     build_network,
     best_constant_alpha,
     best_constant_weights,
+    block_spectrum,
     characteristic_det,
     characteristic_det_reduced,
     core_replica_eigenvalue,
@@ -35,6 +38,21 @@ def assemble(network, weights):
             matrix[u, v] = matrix[v, u] = w
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
+
+
+@st.composite
+def long_branch_specs(draw):
+    """One to three branch types with lengths 7..5000, where theta is small."""
+    lengths = sorted(draw(st.sets(st.integers(7, 5000), min_size=1, max_size=3)))
+    size = len(lengths)
+    counts = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return BranchSpec(tuple(lengths), tuple(counts), draw(st.integers(1, 4)))
+
+
+def root_gap(spec, theta):
+    """``sum_p (n_p / 2K) tan(m_p theta) tan(theta/2) - 1``, evaluated independently."""
+    terms = (n * math.tan(m * theta) for m, n in zip(spec.lengths, spec.counts))
+    return math.fsum(terms) * math.tan(theta / 2) / (2 * spec.cores) - 1.0
 
 
 def modulus(matrix):
@@ -120,6 +138,49 @@ class TestSolveTheta:
         assert solution.residual_relative <= 1e-12
         assert solution.bracket[0] <= solution.theta <= solution.bracket[1]
 
+    @settings(deadline=None, max_examples=150)
+    @given(spec=st.one_of(branch_specs(), long_branch_specs()))
+    def test_root_on_the_pole_free_bracket(self, spec):
+        solution = solve_theta(spec)
+        theta = solution.theta
+        ulp = math.ulp(theta)
+        assert 0.0 < theta < math.pi / (2 * max(spec.lengths))
+        lo, hi = solution.bracket
+        assert lo <= theta <= hi and hi - lo <= ulp
+        # The gap rises through zero at theta, resolved to a few ulps.
+        assert root_gap(spec, theta - 4 * ulp) < 0.0 < root_gap(spec, theta + 4 * ulp)
+        if max(spec.lengths) <= 6:
+            assert theta == pytest.approx(grid_theta(spec), rel=1e-13)
+        if spec.branch_types == 1:
+            # Cosine form (n - 2K) cos((m - 1/2) t) = (n + 2K) cos((m + 1/2) t),
+            # whose Newton correction at theta must be within a few ulps.
+            (m,), (n,), k = spec.lengths, spec.counts, spec.cores
+            gap = (n - 2 * k) * math.cos((m - 0.5) * theta) - (n + 2 * k) * math.cos(
+                (m + 0.5) * theta
+            )
+            slope = (n + 2 * k) * (m + 0.5) * math.sin((m + 0.5) * theta) - (
+                n - 2 * k
+            ) * (m - 0.5) * math.sin((m - 0.5) * theta)
+            assert abs(gap) <= 4 * ulp * abs(slope)
+            # The cosine form makes the head weight 2 / (n + 2K) for every m;
+            # theta's rounding alone moves it by about m * 3e-16 relative.
+            head = optimal_weights(spec, solution).strata[0][0]
+            assert head == pytest.approx(2 / (n + 2 * k), rel=2e-15 * m)
+
+    def test_residual_is_computed_on_first_access(self, monkeypatch):
+        import starmix.weights as weights_module
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the solve evaluated the determinant")
+
+        monkeypatch.setattr(weights_module, "characteristic_det", untouchable)
+        solution = solve_theta(BranchSpec((1, 2, 3), (4, 3, 2), 1))
+        max_cores(BranchSpec((3, 2, 1), (1, 2, 3), 1))
+        with pytest.raises(AssertionError):
+            solution.residual_relative
+        monkeypatch.undo()
+        assert solution.residual_relative <= 1e-12
+
     @pytest.mark.parametrize("trial", range(10))
     def test_single_type_reduced_condition(self, trial):
         rng = np.random.default_rng(3000 + trial)
@@ -168,6 +229,18 @@ class TestOptimalWeights:
         for row in weights.strata:
             assert all(0.0 < w < 1.0 for w in row)
             assert all(w == 0.5 for w in row[1:])
+
+    @pytest.mark.parametrize("m", [50, 200, 1000])
+    def test_long_branch_weights_tie_the_moduli(self, m):
+        # At the optimum lambda_2 = -lambda_min = cos(theta).  The bound is
+        # relative to the spectral gap 1 - lambda_2, which is about 1.2e-6
+        # at m = 1000.
+        spec = BranchSpec((m,), (3,), 1)
+        solution = solve_theta(spec)
+        evals = block_spectrum(spec, optimal_weights(spec, solution))
+        lam2, lam_min = float(evals[1]), float(evals[-1])
+        assert abs(lam2 + lam_min) <= 1e-7 * (1.0 - lam2)
+        assert lam2 == pytest.approx(solution.slem, abs=1e-7 * (1.0 - lam2))
 
     @pytest.mark.parametrize("trial", range(10))
     def test_longer_branches_get_larger_head_weights(self, trial):
